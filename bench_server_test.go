@@ -6,7 +6,8 @@
 //
 //   - Hit:     the exact window is cached (steady-state re-query);
 //   - Derived: each request pans one slice further, so every window is a
-//     miss served incrementally from its cached neighbor (Input.Update);
+//     miss served incrementally from its cached neighbor
+//     (Input.UpdateContext);
 //   - Scratch: caching disabled, every request pays the full input pass.
 //
 // scripts/bench.sh picks these up with the rest of the root suite, so

@@ -1,6 +1,7 @@
 package ocelotl
 
 import (
+	"context"
 	"testing"
 
 	"ocelotl/internal/core"
@@ -76,6 +77,7 @@ func BenchmarkStoreWindowRead(b *testing.B) {
 // index swapped for the store, so the delta over it is the cost of going
 // out-of-core on the interactive path.
 func BenchmarkWindowPan_DiskIndex(b *testing.B) {
+	ctx := context.Background()
 	tr := mpisim.ArtificialSized(windowBenchS, windowBenchW)
 	r, err := microscopic.NewReslicerIndexed(microscopic.TraceSource(tr),
 		microscopic.IndexOptions{Mode: microscopic.IndexDisk, Dir: b.TempDir()})
@@ -87,14 +89,14 @@ func BenchmarkWindowPan_DiskIndex(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
+	in := mustInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := 1
 		if i%2 == 1 {
 			d = -1
 		}
-		if in, err = in.Pan(d); err != nil {
+		if in, err = in.AdvanceContext(ctx, in.Model.Reslicer(), d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"ocelotl/internal/grid5000"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
+	"ocelotl/internal/partition"
 	"ocelotl/internal/product"
 	"ocelotl/internal/render"
 	"ocelotl/internal/spatial"
@@ -40,8 +41,7 @@ type caseData struct {
 	res   *mpisim.Result
 	model *microscopic.Model
 	in    *core.Input
-	agg   *core.Aggregator // compatibility facade over in
-	path  string           // binary trace on disk
+	path  string // binary trace on disk
 }
 
 var (
@@ -51,7 +51,7 @@ var (
 )
 
 // loadCase generates (once) a scaled Table II case, its on-disk binary
-// trace, its microscopic model and its prepared aggregator.
+// trace, its microscopic model and its prepared input.
 func loadCase(b *testing.B, c grid5000.Case) *caseData {
 	b.Helper()
 	caseMu.Lock()
@@ -78,8 +78,7 @@ func loadCase(b *testing.B, c grid5000.Case) *caseData {
 	if err != nil {
 		b.Fatal(err)
 	}
-	agg := core.New(model, core.Options{})
-	d := &caseData{res: res, model: model, in: agg.Input, agg: agg, path: path}
+	d := &caseData{res: res, model: model, in: mustInput(b, model, core.Options{}), path: path}
 	caseCache[c] = d
 	return d
 }
@@ -129,12 +128,15 @@ func BenchmarkTable2_Microscopic_D(b *testing.B) { benchTable2Microscopic(b, gri
 
 // The aggregation column measures both phases: building the tree of
 // triangular matrices (Aggregation_Input) and one Algorithm 1 pass
-// (Aggregation_Run — the per-slider-stop cost, "instantaneous" in §V).
+// (Aggregation_Run — the per-slider-stop cost, "instantaneous" in §V, on a
+// solver borrowed from the input's pool as a server query would).
 func benchTable2AggInput(b *testing.B, c grid5000.Case) {
 	d := loadCase(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.NewInput(d.model, core.Options{})
+		if _, err := core.NewInputContext(context.Background(), d.model, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -146,7 +148,7 @@ func benchTable2AggRun(b *testing.B, c grid5000.Case) {
 	d := loadCase(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.agg.Run(0.5); err != nil {
+		if _, err := runPooled(context.Background(), d.in, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,7 +166,7 @@ func BenchmarkFig1_CaseA_Overview(b *testing.B) {
 	d := loadCase(b, grid5000.CaseA)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt, err := d.agg.Run(0.2)
+		pt, err := runPooled(context.Background(), d.in, 0.2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,6 +193,7 @@ func BenchmarkFig2_Gantt_CaseA(b *testing.B) {
 // visual aggregation).
 
 func BenchmarkFig3_Artificial(b *testing.B) {
+	ctx := context.Background()
 	tr := mpisim.Artificial()
 	m, err := microscopic.Build(tr, microscopic.Options{Slices: 20})
 	if err != nil {
@@ -198,13 +201,16 @@ func BenchmarkFig3_Artificial(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := core.NewInput(m, core.Options{})
-		solver := in.NewSolver()
-		lo, err := solver.Run(0.25)
+		in, err := core.NewInputContext(ctx, m, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := solver.Run(0.9); err != nil {
+		solver := in.NewSolver()
+		lo, err := solver.RunContext(ctx, 0.25)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := solver.RunContext(ctx, 0.9); err != nil {
 			b.Fatal(err)
 		}
 		render.BuildScene(in, lo, render.Options{Width: 480, Height: 36, MinHeight: 6})
@@ -218,7 +224,7 @@ func BenchmarkFig4_CaseC_Overview(b *testing.B) {
 	d := loadCase(b, grid5000.CaseC)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt, err := d.agg.Run(0.35)
+		pt, err := runPooled(context.Background(), d.in, 0.35)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,11 +247,12 @@ func scalingModel(b *testing.B, S, T int) *microscopic.Model {
 }
 
 func benchScalingT(b *testing.B, T int) {
+	ctx := context.Background()
 	m := scalingModel(b, 48, T)
-	agg := core.New(m, core.Options{})
+	in := mustInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Run(0.5); err != nil {
+		if _, err := runPooled(ctx, in, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,11 +264,12 @@ func BenchmarkScaling_T_64(b *testing.B)  { benchScalingT(b, 64) }
 func BenchmarkScaling_T_128(b *testing.B) { benchScalingT(b, 128) }
 
 func benchScalingS(b *testing.B, S int) {
+	ctx := context.Background()
 	m := scalingModel(b, S, 32)
-	agg := core.New(m, core.Options{})
+	in := mustInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Run(0.5); err != nil {
+		if _, err := runPooled(ctx, in, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,11 +284,12 @@ func BenchmarkScaling_S_384(b *testing.B) { benchScalingS(b, 384) }
 // Cartesian product and the two 1-D algorithms on the same model.
 
 func BenchmarkAblation_Spatiotemporal(b *testing.B) {
+	ctx := context.Background()
 	m := scalingModel(b, 96, 30)
-	agg := core.New(m, core.Options{})
+	in := mustInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Run(0.5); err != nil {
+		if _, err := runPooled(ctx, in, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,11 +331,12 @@ func BenchmarkAblation_TemporalOnly(b *testing.B) {
 // BenchmarkAblation_SignificantPs measures the dichotomic slider-stop
 // search (the interactive exploration cost).
 func BenchmarkAblation_SignificantPs(b *testing.B) {
+	ctx := context.Background()
 	m := scalingModel(b, 48, 30)
-	agg := core.New(m, core.Options{})
+	in := mustInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.SignificantPs(1e-3); err != nil {
+		if _, err := in.SignificantPsContext(ctx, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -335,34 +345,33 @@ func BenchmarkAblation_SignificantPs(b *testing.B) {
 // BenchmarkSignificantPs tracks the sweep-level cost of the full
 // significant-p exploration — the end-to-end latency an analyst waits for
 // slider stops — with the batched fused frontier at default workers and
-// the Workers=1 reference. Since the batched rewrite, each dichotomy
-// round solves all of its midpoints in one fused RunMany call, so the
-// default-workers number improves over the committed pre-fusion baseline
-// even on a single core; _Batched pins the same path under its
-// post-rewrite name for the benchdiff trajectory.
+// the Workers=1 reference. Each dichotomy round solves all of its
+// midpoints in one fused SweepRunContext call, so the default-workers
+// number improves over the committed pre-fusion baseline even on a single
+// core.
 func BenchmarkSignificantPs(b *testing.B)            { benchSignificantPs(b, 0) }
-func BenchmarkSignificantPs_Batched(b *testing.B)    { benchSignificantPs(b, 0) }
 func BenchmarkSignificantPs_Sequential(b *testing.B) { benchSignificantPs(b, 1) }
 
 func benchSignificantPs(b *testing.B, workers int) {
+	ctx := context.Background()
 	m := scalingModel(b, 96, 40)
-	in := core.NewInput(m, core.Options{Workers: workers})
+	in := mustInput(b, m, core.Options{Workers: workers})
 	// One warm-up exploration so the timed iterations measure the pooled
 	// steady state (solver pool populated, lane arenas faulted in) — the
 	// latency a served slider sees — rather than first-use page faults.
-	if _, err := in.SignificantPs(1e-3); err != nil {
+	if _, err := in.SignificantPsContext(ctx, 1e-3); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SignificantPs(1e-3); err != nil {
+		if _, err := in.SignificantPsContext(ctx, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // The fused-sweep family measures the tentpole economics directly: one
-// lane-blocked SweepQuality call over n evenly spaced ps versus the
+// lane-blocked SweepQualityContext call over n evenly spaced ps versus the
 // unfused reference of n pooled single-p runs (BenchmarkSweepSingle_K16 —
 // what every caller paid before the fusion, and still the right baseline
 // because the per-p kernels are unchanged). The acceptance bar is ≥ 1.5×
@@ -379,15 +388,16 @@ func benchSweepPs(n int) []float64 {
 }
 
 func benchSweepFused(b *testing.B, n int) {
+	ctx := context.Background()
 	m := scalingModel(b, 96, 40)
-	in := core.NewInput(m, core.Options{})
+	in := mustInput(b, m, core.Options{})
 	ps := benchSweepPs(n)
-	if _, err := in.SweepQuality(ps); err != nil { // steady-state warm-up
+	if _, err := in.SweepQualityContext(ctx, ps); err != nil { // steady-state warm-up
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SweepQuality(ps); err != nil {
+		if _, err := in.SweepQualityContext(ctx, ps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -396,20 +406,21 @@ func benchSweepFused(b *testing.B, n int) {
 }
 
 func BenchmarkSweepSingle_K16(b *testing.B) {
+	ctx := context.Background()
 	m := scalingModel(b, 96, 40)
-	in := core.NewInput(m, core.Options{})
+	in := mustInput(b, m, core.Options{})
 	ps := benchSweepPs(16)
-	if s := in.AcquireSolver(); s != nil { // steady-state warm-up
-		if _, err := s.Quality(ps[0]); err != nil {
-			b.Fatal(err)
-		}
-		in.ReleaseSolver(s)
+	if _, err := runPooled(ctx, in, ps[0]); err != nil { // steady-state warm-up
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range ps {
-			s := in.AcquireSolver()
-			if _, err := s.Quality(p); err != nil {
+			s, err := in.AcquireSolverContext(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.QualityContext(ctx, p); err != nil {
 				b.Fatal(err)
 			}
 			in.ReleaseSolver(s)
@@ -427,7 +438,7 @@ func BenchmarkSweepSingle_K16(b *testing.B) {
 // let-it-start delay, so cancel-ns/op is the headline number).
 func BenchmarkSweepCancel(b *testing.B) {
 	m := scalingModel(b, 96, 40)
-	in := core.NewInput(m, core.Options{})
+	in := mustInput(b, m, core.Options{})
 	ps := make([]float64, 64)
 	for i := range ps {
 		ps[i] = float64(i) / float64(len(ps)-1)
@@ -456,8 +467,8 @@ func BenchmarkSweepCancel(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Interactive windowing: the cost of moving the analysis window, which the
-// incremental path (microscopic.Reslicer + core.Input.Update) turns from a
-// full input pass into O(changed slices) work. The _Scratch variants
+// incremental path (microscopic.Reslicer + core.Input.UpdateContext) turns
+// from a full input pass into O(changed slices) work. The _Scratch variants
 // measure the status quo ante: rebuild the microscopic model and the whole
 // Input for every window change. The acceptance bar for the incremental
 // engine is ≥ 5× on a 1-slice pan at |T| = 50.
@@ -487,7 +498,7 @@ func windowCase(b *testing.B) (*trace.Trace, *microscopic.Reslicer, *core.Input)
 		if err != nil {
 			b.Fatal(err)
 		}
-		windowR, windowIn = r, core.NewInput(m, core.Options{})
+		windowR, windowIn = r, mustInput(b, m, core.Options{})
 	})
 	return windowTr, windowR, windowIn
 }
@@ -496,6 +507,7 @@ func windowCase(b *testing.B) (*trace.Trace, *microscopic.Reslicer, *core.Input)
 // incremental path; each iteration is one complete window change (model +
 // matrices).
 func benchWindowPanIncremental(b *testing.B, k int) {
+	ctx := context.Background()
 	_, _, in := windowCase(b)
 	b.ResetTimer()
 	var err error
@@ -504,7 +516,7 @@ func benchWindowPanIncremental(b *testing.B, k int) {
 		if i%2 == 1 {
 			d = -k
 		}
-		if in, err = in.Pan(d); err != nil {
+		if in, err = in.AdvanceContext(ctx, in.Model.Reslicer(), d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -526,7 +538,9 @@ func benchWindowPanScratch(b *testing.B, k int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.NewInput(m, core.Options{})
+		if _, err := core.NewInputContext(context.Background(), m, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -538,7 +552,7 @@ func BenchmarkWindowPan8_Scratch(b *testing.B)     { benchWindowPanScratch(b, 8)
 // Zooming changes the slice width, so nothing of the matrices transfers
 // across the resolution change itself — the pyramid instead keeps one
 // Input resident per visited grid level, so revisiting a resolution is a
-// same-grid pan (Input.Update) rather than a rebuild. The benchmark
+// same-grid pan (Input.UpdateContext) rather than a rebuild. The benchmark
 // ping-pongs between the overview level and a zoomed level with the
 // target always a slice or two off the level's resident window, so every
 // iteration is a genuine zoom request served by pan-derivation, never a
@@ -581,7 +595,9 @@ func BenchmarkWindowZoom_Scratch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.NewInput(m, core.Options{})
+		if _, err := core.NewInputContext(context.Background(), m, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -591,10 +607,11 @@ func BenchmarkWindowZoom_Scratch(b *testing.B) {
 // the size of the fine one. This is the path behind the serving layer's
 // progressive previews.
 func BenchmarkWindowZoomOut_Incremental(b *testing.B) {
+	ctx := context.Background()
 	_, _, in := windowCase(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.Coarsen(2); err != nil {
+		if _, err := in.CoarsenContext(ctx, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -690,7 +707,7 @@ func followBenchSetup(b *testing.B) (*microscopic.Reslicer, *core.Input, *trace.
 	if err != nil {
 		b.Fatal(err)
 	}
-	return r, core.NewInput(m, core.Options{}), tr
+	return r, mustInput(b, m, core.Options{}), tr
 }
 
 // BenchmarkFollowTick is one steady-state live-ingestion tick at the
@@ -739,6 +756,30 @@ func BenchmarkFollowTick_Rebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.NewInput(m, core.Options{})
+		if _, err := core.NewInputContext(context.Background(), m, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// mustInput runs the input pass under a background context, failing the
+// test on error.
+func mustInput(tb testing.TB, m *microscopic.Model, opt core.Options) *core.Input {
+	tb.Helper()
+	in, err := core.NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
+}
+
+// runPooled answers one query the way a server does: borrow a solver from
+// the input's bounded pool, run Algorithm 1 at p, and give the solver back.
+func runPooled(ctx context.Context, in *core.Input, p float64) (*partition.Partition, error) {
+	s, err := in.AcquireSolverContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer in.ReleaseSolver(s)
+	return s.RunContext(ctx, p)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -88,7 +89,7 @@ func TestRunModeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
+	in := mustInput(t, m, core.Options{})
 	for _, mode := range []string{"st", "spatial", "temporal", "product"} {
 		pt, err := runMode(context.Background(), m, in, mode, 0.4)
 		if err != nil {
@@ -131,13 +132,14 @@ func TestLoadModelIndexed(t *testing.T) {
 }
 
 func TestReplayWindow(t *testing.T) {
+	ctx := context.Background()
 	m, err := testLoadModel(t, "", "A", 0.002, 1, 10, 0, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
+	in := mustInput(t, m, core.Options{})
 	var log bytes.Buffer
-	out, err := replayWindow(&log, in, "2:7,0:9", "1,1,-3")
+	out, err := replayWindow(ctx, &log, in, "2:7,0:9", "1,1,-3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +158,12 @@ func TestReplayWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := core.NewInput(fm, core.Options{})
-	a, err := out.NewSolver().Run(0.5)
+	fresh := mustInput(t, fm, core.Options{})
+	a, err := out.NewSolver().RunContext(ctx, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fresh.NewSolver().Run(0.5)
+	b, err := fresh.NewSolver().RunContext(ctx, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +174,29 @@ func TestReplayWindow(t *testing.T) {
 	for _, bad := range []struct{ zoom, pan string }{
 		{"2", ""}, {"a:b", ""}, {"", "x"}, {"3:1", ""},
 	} {
-		if _, err := replayWindow(&log, in, bad.zoom, bad.pan); err == nil {
+		if _, err := replayWindow(ctx, &log, in, bad.zoom, bad.pan); err == nil {
 			t.Errorf("replay accepted zoom=%q pan=%q", bad.zoom, bad.pan)
+		}
+	}
+}
+
+// TestReplayWindowCancelled: a cancelled ctx (the CLI's SIGINT) aborts a
+// zoom or pan replay step with context.Canceled instead of finishing the
+// window derivation.
+func TestReplayWindowCancelled(t *testing.T) {
+	m, err := testLoadModel(t, "", "A", 0.002, 1, 10, 0, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := mustInput(t, m, core.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, steps := range []struct{ zoom, pan string }{{"2:7", ""}, {"", "1"}} {
+		var log bytes.Buffer
+		out, err := replayWindow(ctx, &log, in, steps.zoom, steps.pan)
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Errorf("zoom=%q pan=%q: cancelled replay returned (input %t, %v), want (no input, context.Canceled)",
+				steps.zoom, steps.pan, out != nil, err)
 		}
 	}
 }
@@ -181,6 +204,7 @@ func TestReplayWindow(t *testing.T) {
 // TestLoadModelDiskIndex forces -index=disk through both load paths and
 // checks the disk backend answers the replay engine identically to RAM.
 func TestLoadModelDiskIndex(t *testing.T) {
+	ctx := context.Background()
 	ramM, ramClean, err := loadModel("", "A", 0.002, 1, 10, 0, 1, true, microscopic.IndexRAM)
 	if err != nil {
 		t.Fatal(err)
@@ -195,23 +219,34 @@ func TestLoadModelDiskIndex(t *testing.T) {
 		t.Fatalf("forced disk index reports kind %q", kind)
 	}
 	var ramLog, diskLog bytes.Buffer
-	ramIn, err := replayWindow(&ramLog, core.NewInput(ramM, core.Options{}), "2:7", "1,-2")
+	ramIn, err := replayWindow(ctx, &ramLog, mustInput(t, ramM, core.Options{}), "2:7", "1,-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diskIn, err := replayWindow(&diskLog, core.NewInput(diskM, core.Options{}), "2:7", "1,-2")
+	diskIn, err := replayWindow(ctx, &diskLog, mustInput(t, diskM, core.Options{}), "2:7", "1,-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ramIn.NewSolver().Run(0.5)
+	a, err := ramIn.NewSolver().RunContext(ctx, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := diskIn.NewSolver().Run(0.5)
+	b, err := diskIn.NewSolver().RunContext(ctx, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Signature() != b.Signature() {
 		t.Error("disk-indexed replay disagrees with RAM-indexed replay")
 	}
+}
+
+// mustInput runs the input pass under a background context, failing the
+// test on error.
+func mustInput(tb testing.TB, m *microscopic.Model, opt core.Options) *core.Input {
+	tb.Helper()
+	in, err := core.NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
 }

@@ -10,21 +10,20 @@
 // The engine serves interactive exploration in both of its dimensions:
 // one immutable core.Input answers any number of concurrent p-queries
 // from a capacity-bounded solver pool, and many-p exploration is fused —
-// Solver.RunMany carries up to core.MaxLanes p-lanes through a single
-// triangular iteration per hierarchy node (SweepRun/SweepQuality split
-// their p list into lane blocks over the worker pool; SignificantPs is a
-// batched dichotomy solving each frontier generation in one fused call),
-// bit-identical per lane to independent Run(p) solves. Window changes
-// are incremental — microscopic.Reslicer keeps a per-resource event
-// index and core.Input.Update rebuilds only what the new slices touch,
-// so a zoom or pan costs O(changed slices), not a fresh input pass.
-// Queries whose answer stops mattering stop costing: every engine entry
-// point has a context-aware twin (RunContext, RunManyContext,
-// SweepRunContext, SignificantPsContext, AcquireSolverContext — and
-// NewInputContext/UpdateContext for the input pass itself, which dies
-// mid-fill) that cancels cooperatively at hierarchy-node granularity,
-// drains its goroutines, releases its pooled solvers, and returns
-// ctx.Err() with no partial results.
+// Solver.RunManyContext carries up to core.MaxLanes p-lanes through a
+// single triangular iteration per hierarchy node (SweepRunContext and
+// SweepQualityContext split their p list into lane blocks over the worker
+// pool; SignificantPsContext is a batched dichotomy solving each frontier
+// generation in one fused call), bit-identical per lane to independent
+// RunContext solves. Window changes are incremental —
+// microscopic.Reslicer keeps a per-resource event index and
+// core.Input.UpdateContext rebuilds only what the new slices touch, so a
+// zoom or pan costs O(changed slices), not a fresh input pass. Queries
+// whose answer stops mattering stop costing: every long-running engine
+// call — the input pass and window derivations included — takes a
+// context.Context first and has no context-free variant. A cancelled call
+// stops at its next hierarchy node, drains its goroutines, releases its
+// pooled solvers, and returns ctx.Err() with no partial results.
 //
 // The serving layer turns that into a long-lived service. The packages
 // layer traceio → eventstore → microscopic → core → server: traceio

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -57,8 +58,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	in := core.NewInput(model, core.Options{})
-	pt, err := in.NewSolver().Run(0.2)
+	ctx := context.Background()
+	in, err := core.NewInputContext(ctx, model, core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(ctx, 0.2)
 	if err != nil {
 		log.Fatal(err)
 	}

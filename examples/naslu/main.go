@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,8 +39,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	in := core.NewInput(model, core.Options{})
-	pt, err := in.NewSolver().Run(0.35)
+	ctx := context.Background()
+	in, err := core.NewInputContext(ctx, model, core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(ctx, 0.35)
 	if err != nil {
 		log.Fatal(err)
 	}

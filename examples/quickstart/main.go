@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,12 +29,17 @@ func main() {
 
 	// 3. The input pass precomputes gain/loss for every candidate area;
 	//    each Solver then answers one Algorithm 1 query, and any number
-	//    of them may run concurrently against the shared input.
-	in := core.NewInput(model, core.Options{})
+	//    of them may run concurrently against the shared input. Every
+	//    long-running engine call takes a context first.
+	ctx := context.Background()
+	in, err := core.NewInputContext(ctx, model, core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	solver := in.NewSolver()
 
 	for _, p := range []float64{0.25, 0.9} {
-		pt, err := solver.Run(p)
+		pt, err := solver.RunContext(ctx, p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +51,7 @@ func main() {
 
 	// 4. The significant p values are the slider stops an analyst
 	//    would explore.
-	points, err := in.SignificantPs(1e-3)
+	points, err := in.SignificantPsContext(ctx, 1e-3)
 	if err != nil {
 		log.Fatal(err)
 	}

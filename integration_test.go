@@ -5,6 +5,7 @@ package ocelotl
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -23,6 +24,7 @@ import (
 // TestPipelineCaseA is the §V.A workflow: every stage chained, every
 // finding asserted.
 func TestPipelineCaseA(t *testing.T) {
+	ctx := context.Background()
 	res, err := mpisim.GenerateCase(grid5000.CaseA, mpisim.Config{Seed: 9, Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +44,8 @@ func TestPipelineCaseA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		agg := core.New(m, core.Options{})
-		pt, err := agg.Run(0.2)
+		in := mustInput(t, m, core.Options{})
+		pt, err := in.NewSolver().RunContext(ctx, 0.2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -59,7 +61,7 @@ func TestPipelineCaseA(t *testing.T) {
 			t.Errorf("%s: only %d deviators for %d perturbed ranks", name, len(devs), len(gt.Ranks))
 		}
 		// And the rendering must carry every aggregate.
-		scene := render.BuildScene(agg.Input, pt, render.Options{Width: 800, Height: 512})
+		scene := render.BuildScene(in, pt, render.Options{Width: 800, Height: 512})
 		if scene.DataAggregates+scene.HiddenAggregates != pt.NumAreas() {
 			t.Errorf("%s: scene accounts %d+%d of %d areas", name,
 				scene.DataAggregates, scene.HiddenAggregates, pt.NumAreas())
@@ -111,11 +113,11 @@ func TestFormatsProduceIdenticalModels(t *testing.T) {
 		}
 	}
 	// Consequently the partitions agree exactly.
-	pa, err := core.Aggregate(a, 0.35)
+	pa, err := mustInput(t, a, core.Options{}).NewSolver().RunContext(context.Background(), 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := core.Aggregate(b, 0.35)
+	pb, err := mustInput(t, b, core.Options{}).NewSolver().RunContext(context.Background(), 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +130,7 @@ func TestFormatsProduceIdenticalModels(t *testing.T) {
 // partitions on every Table II case, and the spatiotemporal optimum
 // dominates the product baseline.
 func TestAllAlgorithmsOnAllCases(t *testing.T) {
+	ctx := context.Background()
 	for _, c := range grid5000.AllCases() {
 		res, err := mpisim.GenerateCase(c, mpisim.Config{Seed: 1, EventTarget: 40000})
 		if err != nil {
@@ -137,8 +140,8 @@ func TestAllAlgorithmsOnAllCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %s: %v", c, err)
 		}
-		in := core.NewInput(m, core.Options{})
-		st, err := in.NewSolver().Run(0.5)
+		in := mustInput(t, m, core.Options{})
+		st, err := in.NewSolver().RunContext(ctx, 0.5)
 		if err != nil {
 			t.Fatalf("case %s st: %v", c, err)
 		}
@@ -161,6 +164,7 @@ func TestAllAlgorithmsOnAllCases(t *testing.T) {
 // TestSliderWorkflow mimics the analyst's interaction: load once, sweep p,
 // every partition valid, detail monotone at the endpoints.
 func TestSliderWorkflow(t *testing.T) {
+	ctx := context.Background()
 	res, err := mpisim.GenerateCase(grid5000.CaseB, mpisim.Config{Seed: 2, EventTarget: 60000})
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +173,8 @@ func TestSliderWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.New(m, core.Options{})
-	points, err := agg.SignificantPs(1e-3)
+	in := mustInput(t, m, core.Options{})
+	points, err := in.SignificantPsContext(ctx, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +182,7 @@ func TestSliderWorkflow(t *testing.T) {
 		t.Fatalf("only %d slider stops on a 512-process trace", len(points))
 	}
 	for _, q := range points {
-		pt, err := agg.Run(q.P)
+		pt, err := in.NewSolver().RunContext(ctx, q.P)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,6 +202,7 @@ func TestSliderWorkflow(t *testing.T) {
 // trace: the Gantt chart cannot draw most events, while the aggregated
 // overview fits the entity budget with bounded information loss.
 func TestGanttVsOverviewContrast(t *testing.T) {
+	ctx := context.Background()
 	res, err := mpisim.GenerateCase(grid5000.CaseA, mpisim.Config{Seed: 5, EventTarget: 150000})
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +215,8 @@ func TestGanttVsOverviewContrast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.New(m, core.Options{})
-	pt, err := agg.Run(0.35)
+	in := mustInput(t, m, core.Options{})
+	pt, err := in.NewSolver().RunContext(ctx, 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +226,7 @@ func TestGanttVsOverviewContrast(t *testing.T) {
 	if pt.NumAreas() > 512 {
 		t.Errorf("overview exceeds entity budget: %d areas", pt.NumAreas())
 	}
-	rootGain, _ := agg.RootGainLoss()
+	rootGain, _ := in.RootGainLoss()
 	if pt.Gain < 0.5*rootGain {
 		t.Errorf("overview reduction too weak: gain %.1f of %.1f", pt.Gain, rootGain)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -52,9 +53,10 @@ func TestPhasesFindInitAndComputation(t *testing.T) {
 }
 
 func TestDeviatingResourcesFindsPerturbedRanks(t *testing.T) {
+	ctx := context.Background()
 	res, m := caseAModel(t)
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.2)
+	in := mustInput(t, m, core.Options{})
+	pt, err := in.NewSolver().RunContext(ctx, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +84,7 @@ func TestDeviatingResourcesFindsPerturbedRanks(t *testing.T) {
 }
 
 func TestSummarizeClustersCaseC(t *testing.T) {
+	ctx := context.Background()
 	res, err := mpisim.GenerateCase(grid5000.CaseC, mpisim.Config{Seed: 4, EventTarget: 250000})
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +93,8 @@ func TestSummarizeClustersCaseC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.35)
+	in := mustInput(t, m, core.Options{})
+	pt, err := in.NewSolver().RunContext(ctx, 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +118,10 @@ func TestSummarizeClustersCaseC(t *testing.T) {
 }
 
 func TestDescribeAndFormat(t *testing.T) {
+	ctx := context.Background()
 	_, m := caseAModel(t)
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.3)
+	in := mustInput(t, m, core.Options{})
+	pt, err := in.NewSolver().RunContext(ctx, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +138,7 @@ func TestDescribeAndFormat(t *testing.T) {
 }
 
 func TestDeviatingResourcesHomogeneous(t *testing.T) {
+	ctx := context.Background()
 	// A perfectly homogeneous model has no deviators.
 	h, _ := hierarchy.FromPaths([]string{"c/a", "c/b", "c/c"})
 	sl, _ := timeslice.New(0, 10, 10)
@@ -143,8 +148,8 @@ func TestDeviatingResourcesHomogeneous(t *testing.T) {
 			m.AddD(0, s, ti, 0.5)
 		}
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.5)
+	in := mustInput(t, m, core.Options{})
+	pt, err := in.NewSolver().RunContext(ctx, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,4 +166,15 @@ func TestPhasesIdleModel(t *testing.T) {
 	if len(phases) != 1 || phases[0].Mode != -1 {
 		t.Errorf("idle model phases = %+v", phases)
 	}
+}
+
+// mustInput runs the input pass under a background context, failing the
+// test on error.
+func mustInput(tb testing.TB, m *microscopic.Model, opt core.Options) *core.Input {
+	tb.Helper()
+	in, err := core.NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,14 +88,16 @@ func bruteBest(m *microscopic.Model, enumerated [][]partition.Area, p float64) f
 }
 
 func TestOptimalityAgainstBruteForce(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 	ps := []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 1}
 	for trial := 0; trial < 8; trial++ {
 		m := randomModel2(t, rng, paths2x2, 3)
-		agg := New(m, Options{})
+		in := mustInput(t, m, Options{})
+		s := in.NewSolver()
 		enumerated := exhaustive.EnumerateSpatiotemporal(m.H.Root, 0, m.NumSlices()-1, 0)
 		for _, p := range ps {
-			pt, err := agg.Run(p)
+			pt, err := s.RunContext(ctx, p)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -113,14 +116,16 @@ func TestOptimalityAgainstBruteForce(t *testing.T) {
 }
 
 func TestOptimalityDeeperHierarchy(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	paths := []string{"A/m0/c0", "A/m0/c1", "A/m1/c0", "B/m2/c0", "B/m2/c1"}
 	for trial := 0; trial < 4; trial++ {
 		m := randomModel2(t, rng, paths, 3)
-		agg := New(m, Options{})
+		in := mustInput(t, m, Options{})
+		s := in.NewSolver()
 		enumerated := exhaustive.EnumerateSpatiotemporal(m.H.Root, 0, m.NumSlices()-1, 0)
 		for _, p := range []float64{0.2, 0.5, 0.8} {
-			pt, err := agg.Run(p)
+			pt, err := s.RunContext(ctx, p)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -133,11 +138,13 @@ func TestOptimalityDeeperHierarchy(t *testing.T) {
 }
 
 func TestPartitionIsValid(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	m := randomModel2(t, rng, paths2x2, 6)
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
+	s := in.NewSolver()
 	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		pt, err := agg.Run(p)
+		pt, err := s.RunContext(ctx, p)
 		if err != nil {
 			t.Fatalf("run(%v): %v", p, err)
 		}
@@ -148,10 +155,11 @@ func TestPartitionIsValid(t *testing.T) {
 }
 
 func TestPZeroHasZeroLoss(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 5; trial++ {
 		m := randomModel2(t, rng, paths2x2, 5)
-		pt, err := New(m, Options{}).Run(0)
+		pt, err := mustInput(t, m, Options{}).NewSolver().RunContext(ctx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,15 +172,17 @@ func TestPZeroHasZeroLoss(t *testing.T) {
 }
 
 func TestHomogeneousModelFullyAggregates(t *testing.T) {
+	ctx := context.Background()
 	m := buildModel(t, paths2x2, []string{"u", "v"}, 5, func(x, s, ti int) float64 {
 		if x == 0 {
 			return 0.3
 		}
 		return 0.6
 	})
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
+	s := in.NewSolver()
 	for _, p := range []float64{0, 0.5, 1} {
-		pt, err := agg.Run(p)
+		pt, err := s.RunContext(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,12 +196,14 @@ func TestHomogeneousModelFullyAggregates(t *testing.T) {
 }
 
 func TestGainLossMonotoneInP(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(19))
 	m := randomModel2(t, rng, paths2x2, 6)
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
+	s := in.NewSolver()
 	prevGain, prevLoss := math.Inf(-1), math.Inf(-1)
 	for p := 0.0; p <= 1.0001; p += 0.05 {
-		pt, err := agg.Run(math.Min(p, 1))
+		pt, err := s.RunContext(ctx, math.Min(p, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,12 +222,12 @@ func TestGainLossMonotoneInP(t *testing.T) {
 func TestEvaluateAreaMatchesFirstPrinciples(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := randomModel2(t, rng, paths2x2, 4)
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
 	for _, n := range m.H.Nodes {
 		for i := 0; i < m.NumSlices(); i++ {
 			for j := i; j < m.NumSlices(); j++ {
 				ar := partition.Area{Node: n, I: i, J: j}
-				g1, l1 := agg.EvaluateArea(ar)
+				g1, l1 := in.EvaluateArea(ar)
 				g2, l2 := exhaustive.AreaGainLoss(m, ar)
 				if math.Abs(g1-g2) > 1e-9 || math.Abs(l1-l2) > 1e-9 {
 					t.Errorf("area %v: core (g=%g,l=%g) vs exhaustive (g=%g,l=%g)", ar, g1, l1, g2, l2)
@@ -228,11 +240,11 @@ func TestEvaluateAreaMatchesFirstPrinciples(t *testing.T) {
 func TestLossNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	m := randomModel2(t, rng, paths2x2, 5)
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
 	for _, n := range m.H.Nodes {
 		for i := 0; i < m.NumSlices(); i++ {
 			for j := i; j < m.NumSlices(); j++ {
-				_, l := agg.EvaluateArea(partition.Area{Node: n, I: i, J: j})
+				_, l := in.EvaluateArea(partition.Area{Node: n, I: i, J: j})
 				if l < -1e-9 {
 					t.Errorf("area (%s,[%d,%d]) has negative loss %g", n.Path, i, j, l)
 				}
@@ -244,10 +256,10 @@ func TestLossNonNegative(t *testing.T) {
 func TestMicroAreasHaveZeroGainAndLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := randomModel2(t, rng, paths2x2, 4)
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
 	for _, leaf := range m.H.Leaves {
 		for ti := 0; ti < m.NumSlices(); ti++ {
-			g, l := agg.EvaluateArea(partition.Area{Node: leaf, I: ti, J: ti})
+			g, l := in.EvaluateArea(partition.Area{Node: leaf, I: ti, J: ti})
 			if math.Abs(g) > 1e-12 || math.Abs(l) > 1e-12 {
 				t.Errorf("microscopic area (%s,%d): gain=%g loss=%g, want 0,0", leaf.Path, ti, g, l)
 			}
@@ -262,8 +274,8 @@ func TestDescribe(t *testing.T) {
 		}
 		return 0.2
 	})
-	agg := New(m, Options{})
-	info := agg.Describe(partition.Area{Node: m.H.Root, I: 0, J: 3})
+	in := mustInput(t, m, Options{})
+	info := in.Describe(partition.Area{Node: m.H.Root, I: 0, J: 3})
 	if info.Mode != 0 {
 		t.Errorf("mode = %d, want 0", info.Mode)
 	}
@@ -278,26 +290,27 @@ func TestDescribe(t *testing.T) {
 
 func TestDescribeIdleArea(t *testing.T) {
 	m := buildModel(t, paths2x2, []string{"u", "v"}, 3, func(x, s, ti int) float64 { return 0 })
-	agg := New(m, Options{})
-	info := agg.Describe(partition.Area{Node: m.H.Root, I: 0, J: 2})
+	in := mustInput(t, m, Options{})
+	info := in.Describe(partition.Area{Node: m.H.Root, I: 0, J: 2})
 	if info.Mode != -1 || info.Alpha != 0 {
 		t.Errorf("idle area: mode=%d alpha=%g, want -1, 0", info.Mode, info.Alpha)
 	}
 }
 
 func TestNormalizationReachesSamePartitions(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(37))
 	m := randomModel2(t, rng, paths2x2, 5)
-	plain := New(m, Options{})
-	norm := New(m, Options{Normalize: true})
+	plain := mustInput(t, m, Options{})
+	norm := mustInput(t, m, Options{Normalize: true})
 	// Normalization is an exact reparametrization: the normalized run at p
 	// must produce the same partition as the plain run at EffectiveP(p).
 	for p := 0.0; p <= 1.0; p += 0.01 {
-		np, err := norm.Run(p)
+		np, err := norm.NewSolver().RunContext(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pp, err := plain.Run(norm.EffectiveP(p))
+		pp, err := plain.NewSolver().RunContext(ctx, norm.EffectiveP(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,20 +333,23 @@ func TestNormalizationReachesSamePartitions(t *testing.T) {
 }
 
 func TestRunRejectsBadP(t *testing.T) {
+	ctx := context.Background()
 	m := buildModel(t, paths2x2, []string{"u"}, 3, func(x, s, ti int) float64 { return 0.5 })
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
+	s := in.NewSolver()
 	for _, p := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := agg.Run(p); err == nil {
+		if _, err := s.RunContext(ctx, p); err == nil {
 			t.Errorf("Run(%v) succeeded, want error", p)
 		}
 	}
 }
 
 func TestSignificantPs(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(41))
 	m := randomModel2(t, rng, paths2x2, 6)
-	agg := New(m, Options{})
-	points, err := agg.SignificantPs(1e-3)
+	in := mustInput(t, m, Options{})
+	points, err := in.SignificantPsContext(ctx, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,15 +371,17 @@ func TestSignificantPs(t *testing.T) {
 }
 
 func TestSingleResourceMatchesTemporalDP(t *testing.T) {
+	ctx := context.Background()
 	// With a single resource the spatiotemporal problem degenerates to
 	// pure temporal partitioning; cross-check against brute force over
 	// interval compositions scored from first principles.
 	rng := rand.New(rand.NewSource(43))
 	m := randomModel2(t, rng, []string{"only"}, 6)
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
+	s := in.NewSolver()
 	leaf := m.H.Leaves[0]
 	for _, p := range []float64{0.2, 0.5, 0.8} {
-		pt, err := agg.Run(p)
+		pt, err := s.RunContext(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,11 +398,13 @@ func TestSingleResourceMatchesTemporalDP(t *testing.T) {
 }
 
 func TestSingleSliceMatchesSpatialDFS(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(47))
 	m := randomModel2(t, rng, paths2x2, 1)
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
+	s := in.NewSolver()
 	for _, p := range []float64{0.2, 0.5, 0.8} {
-		pt, err := agg.Run(p)
+		pt, err := s.RunContext(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,46 +420,35 @@ func TestSingleSliceMatchesSpatialDFS(t *testing.T) {
 
 func TestInputCells(t *testing.T) {
 	m := buildModel(t, paths2x2, []string{"u"}, 4, func(x, s, ti int) float64 { return 0.1 })
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
 	// 7 nodes (root + 2 clusters + 4 leaves) × T(T+1)/2 = 10 cells.
-	if got, want := agg.InputCells(), 7*10; got != want {
+	if got, want := in.InputCells(), 7*10; got != want {
 		t.Errorf("InputCells = %d, want %d", got, want)
 	}
 }
 
-func TestAggregateConvenience(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	m := randomModel2(t, rng, paths2x2, 4)
-	pt, err := Aggregate(m, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.Validate(m.H, m.NumSlices()); err != nil {
-		t.Errorf("invalid partition: %v", err)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(59))
 	m := randomModel2(t, rng, paths2x2, 5)
-	a1, a2 := New(m, Options{}), New(m, Options{})
-	p1, err := a1.Run(0.4)
+	s1, s2 := mustInput(t, m, Options{}).NewSolver(), mustInput(t, m, Options{}).NewSolver()
+	p1, err := s1.RunContext(ctx, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := a2.Run(0.4)
+	p2, err := s2.RunContext(ctx, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1.Signature() != p2.Signature() {
-		t.Error("two aggregators over the same model disagree")
+		t.Error("two inputs over the same model disagree")
 	}
-	// Re-running on the same aggregator (matrix reuse) must also agree.
-	p3, err := a1.Run(0.9)
+	// Re-running on the same solver (scratch reuse) must also agree.
+	p3, err := s1.RunContext(ctx, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := a1.Run(0.4)
+	p4, err := s1.RunContext(ctx, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,4 +456,15 @@ func TestDeterminism(t *testing.T) {
 	if p4.Signature() != p1.Signature() {
 		t.Error("re-running at the same p after another p changed the result")
 	}
+}
+
+// mustInput runs the input pass under a background context, failing the
+// test on error.
+func mustInput(tb testing.TB, m *microscopic.Model, opt Options) *Input {
+	tb.Helper()
+	in, err := NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
 }

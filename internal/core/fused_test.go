@@ -66,9 +66,10 @@ func randomPs(rng *rand.Rand) []float64 {
 
 // TestRunManyBitIdenticalToRun is the fused-path property test: across
 // random hierarchies, dimensions, data, normalization and p lists, every
-// lane of RunMany must equal its own Run(p) — same partition signature,
-// same gain/loss/pIC floats — for any lane count.
+// lane of RunManyContext must equal its own RunContext — same partition
+// signature, same gain/loss/pIC floats — for any lane count.
 func TestRunManyBitIdenticalToRun(t *testing.T) {
+	ctx := context.Background()
 	trials := 25
 	if testing.Short() {
 		trials = 6
@@ -76,20 +77,20 @@ func TestRunManyBitIdenticalToRun(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		m := randomFusedModel(rng)
-		in := NewInput(m, Options{Normalize: trial%2 == 1})
+		in := mustInput(t, m, Options{Normalize: trial%2 == 1})
 		ps := randomPs(rng)
 
 		s := in.NewSolver()
-		got, err := s.RunMany(ps)
+		got, err := s.RunManyContext(ctx, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(ps) {
-			t.Fatalf("trial %d: RunMany returned %d partitions for %d ps", trial, len(got), len(ps))
+			t.Fatalf("trial %d: RunManyContext returned %d partitions for %d ps", trial, len(got), len(ps))
 		}
 		ref := in.NewSolver()
 		for i, p := range ps {
-			want, err := ref.Run(p)
+			want, err := ref.RunContext(ctx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,13 +105,13 @@ func TestRunManyBitIdenticalToRun(t *testing.T) {
 		}
 		// The same solver must reproduce the sweep after its lanes have
 		// been overwritten (scratch reuse, like single-p solvers).
-		again, err := s.RunMany(ps)
+		again, err := s.RunManyContext(ctx, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range again {
 			if again[i].Signature() != got[i].Signature() {
-				t.Fatalf("trial %d: repeated RunMany changed lane %d", trial, i)
+				t.Fatalf("trial %d: repeated RunManyContext changed lane %d", trial, i)
 			}
 		}
 	}
@@ -121,50 +122,52 @@ func TestRunManyBitIdenticalToRun(t *testing.T) {
 // sweep layer at every worker count (the fused lane blocks must not
 // bypass the validation the per-p path performed).
 func TestRunManyRejectsBadP(t *testing.T) {
+	ctx := context.Background()
 	m := randomFusedModel(rand.New(rand.NewSource(7)))
-	in := NewInput(m, Options{})
+	in := mustInput(t, m, Options{})
 	for _, ps := range [][]float64{{0.5, 2}, {-0.1}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.5}} {
-		if out, err := in.NewSolver().RunMany(ps); err == nil || out != nil {
-			t.Fatalf("RunMany(%v) = (%v, %v), want rejection", ps, out, err)
+		if out, err := in.NewSolver().RunManyContext(ctx, ps); err == nil || out != nil {
+			t.Fatalf("RunManyContext(%v) = (%v, %v), want rejection", ps, out, err)
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		wIn := NewInput(m, Options{Workers: workers})
-		if out, err := wIn.SweepRun([]float64{0.5, 2}); err == nil || out != nil {
-			t.Fatalf("workers=%d: SweepRun with p=2 = (%v, %v), want rejection", workers, out, err)
+		wIn := mustInput(t, m, Options{Workers: workers})
+		if out, err := wIn.SweepRunContext(ctx, []float64{0.5, 2}); err == nil || out != nil {
+			t.Fatalf("workers=%d: SweepRunContext with p=2 = (%v, %v), want rejection", workers, out, err)
 		}
-		if out, err := wIn.SweepQuality([]float64{0.3, math.NaN()}); err == nil || out != nil {
-			t.Fatalf("workers=%d: SweepQuality with NaN = (%v, %v), want rejection", workers, out, err)
+		if out, err := wIn.SweepQualityContext(ctx, []float64{0.3, math.NaN()}); err == nil || out != nil {
+			t.Fatalf("workers=%d: SweepQualityContext with NaN = (%v, %v), want rejection", workers, out, err)
 		}
 	}
 }
 
-// TestSweepMatchesFusedAndSingle pins the sweep layer across worker
-// counts: SweepRun/SweepQuality results must be bit-identical to per-p
-// Run regardless of how the ps are partitioned into lane blocks.
+// TestSweepMatchesFusedAndSingle pins the sweep layer across worker counts:
+// SweepRunContext/SweepQualityContext results must be bit-identical to
+// per-p Run regardless of how the ps are partitioned into lane blocks.
 func TestSweepMatchesFusedAndSingle(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 	m := randomFusedModel(rng)
 	ps := sweepPs(23)
-	ref := NewInput(m, Options{Workers: 1})
+	ref := mustInput(t, m, Options{Workers: 1})
 	want := make([]QualityPoint, len(ps))
 	s := ref.NewSolver()
 	for i, p := range ps {
-		q, err := s.Quality(p)
+		q, err := s.QualityContext(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = q
 	}
 	for _, workers := range []int{1, 2, 5, 0} {
-		in := NewInput(m, Options{Workers: workers})
-		got, err := in.SweepQuality(ps)
+		in := mustInput(t, m, Options{Workers: workers})
+		got, err := in.SweepQualityContext(ctx, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: SweepQuality diverges at p=%g: %+v vs %+v", workers, ps[i], got[i], want[i])
+				t.Fatalf("workers=%d: SweepQualityContext diverges at p=%g: %+v vs %+v", workers, ps[i], got[i], want[i])
 			}
 		}
 	}
@@ -175,16 +178,17 @@ func TestSweepMatchesFusedAndSingle(t *testing.T) {
 // recursion of the original algorithm, implemented here as the oracle on
 // single-p Runs.
 func TestSignificantPsMatchesRecursiveDichotomy(t *testing.T) {
+	ctx := context.Background()
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		m := randomFusedModel(rng)
-		in := NewInput(m, Options{})
+		in := mustInput(t, m, Options{})
 		eps := []float64{1e-2, 1e-3}[seed%2]
 
 		// Oracle: the recursive dichotomy on a dedicated solver.
 		s := in.NewSolver()
 		quality := func(p float64) QualityPoint {
-			pt, err := s.Run(p)
+			pt, err := s.RunContext(ctx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +211,7 @@ func TestSignificantPsMatchesRecursiveDichotomy(t *testing.T) {
 		explore(lo, hi)
 		want := sortedPoints(points)
 
-		got, err := in.SignificantPs(eps)
+		got, err := in.SignificantPsContext(ctx, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +235,7 @@ func TestRunManyCancellation(t *testing.T) {
 	in := cancelTestInput(t, Options{Workers: 1})
 	ps := sweepPs(2*MaxLanes + 3) // three blocks
 	s := in.NewSolver()
-	want, err := s.RunMany(ps)
+	want, err := s.RunManyContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,16 +336,19 @@ func TestInputBuildCancellation(t *testing.T) {
 		uctx.cancel()
 
 		// An uncancelled retry reproduces the builds float for float.
-		full := NewInput(m, opt)
+		full := mustInput(t, m, opt)
 		for c := range full.gain {
 			if full.gain[c] != want.gain[c] || full.loss[c] != want.loss[c] {
-				t.Fatalf("workers=%d: ctx build diverges from NewInput at cell %d", workers, c)
+				t.Fatalf("workers=%d: probed build diverges from a background build at cell %d", workers, c)
 			}
 		}
-		fullUpd := want.Update(shifted, ov)
+		fullUpd, err := want.UpdateContext(context.Background(), shifted, ov)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for c := range fullUpd.gain {
 			if fullUpd.gain[c] != wantUpd.gain[c] || fullUpd.loss[c] != wantUpd.loss[c] {
-				t.Fatalf("workers=%d: ctx update diverges from Update at cell %d", workers, c)
+				t.Fatalf("workers=%d: probed update diverges from a background update at cell %d", workers, c)
 			}
 		}
 	}
@@ -351,13 +358,14 @@ func TestInputBuildCancellation(t *testing.T) {
 // Input's reported memory, and the scratch is released back with the
 // solver (the pool keeps it, the bound still holds).
 func TestFusedScratchAccounted(t *testing.T) {
+	ctx := context.Background()
 	in := cancelTestInput(t, Options{Workers: 1, SolverPoolBound: 1})
 	before := in.MemoryBytes()
 	s, err := in.AcquireSolverContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunMany(sweepPs(MaxLanes)); err != nil {
+	if _, err := s.RunManyContext(ctx, sweepPs(MaxLanes)); err != nil {
 		t.Fatal(err)
 	}
 	in.ReleaseSolver(s)

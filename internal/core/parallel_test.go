@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,10 +32,11 @@ func widerModel(t *testing.T, seed int64) *microscopic.Model {
 // TestParallelMatchesSequential: any worker count must produce the exact
 // same matrices and partitions as the sequential path.
 func TestParallelMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	m := widerModel(t, 1)
-	seq := New(m, Options{Workers: 1})
+	seq := mustInput(t, m, Options{Workers: 1})
 	for _, workers := range []int{2, 4, 8, 0} {
-		par := New(m, Options{Workers: workers})
+		par := mustInput(t, m, Options{Workers: workers})
 		// Input matrix arenas bit-identical.
 		for c := range seq.gain {
 			if seq.gain[c] != par.gain[c] || seq.loss[c] != par.loss[c] {
@@ -42,11 +44,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 		for _, p := range []float64{0, 0.2, 0.5, 0.8, 1} {
-			a, err := seq.Run(p)
+			a, err := seq.NewSolver().RunContext(ctx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := par.Run(p)
+			b, err := par.NewSolver().RunContext(ctx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,22 +64,23 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelRepeatedRuns exercises matrix reuse under the parallel path.
 func TestParallelRepeatedRuns(t *testing.T) {
+	ctx := context.Background()
 	m := widerModel(t, 2)
-	agg := New(m, Options{Workers: 4})
-	first, err := agg.Run(0.4)
+	s := mustInput(t, m, Options{Workers: 4}).NewSolver()
+	first, err := s.RunContext(ctx, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := agg.Run(0.9); err != nil {
+		if _, err := s.RunContext(ctx, 0.9); err != nil {
 			t.Fatal(err)
 		}
-		again, err := agg.Run(0.4)
+		again, err := s.RunContext(ctx, 0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.Signature() != first.Signature() {
-			t.Fatalf("iteration %d: repeated Run(0.4) changed", i)
+			t.Fatalf("iteration %d: repeated RunContext(0.4) changed", i)
 		}
 	}
 }
@@ -93,7 +96,9 @@ func benchInput(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(m, Options{Workers: workers})
+		if _, err := NewInputContext(context.Background(), m, Options{Workers: workers}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -101,15 +106,22 @@ func BenchmarkRunWorkers1(b *testing.B) { benchRun(b, 1) }
 func BenchmarkRunWorkers4(b *testing.B) { benchRun(b, 4) }
 
 func benchRun(b *testing.B, workers int) {
+	ctx := context.Background()
 	tr := mpisim.ArtificialSized(192, 48)
 	m, err := microscopic.Build(tr, microscopic.Options{Slices: 48})
 	if err != nil {
 		b.Fatal(err)
 	}
-	agg := New(m, Options{Workers: workers})
+	in := mustInput(b, m, Options{Workers: workers})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Run(0.5); err != nil {
+		s, err := in.AcquireSolverContext(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = s.RunContext(ctx, 0.5)
+		in.ReleaseSolver(s)
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

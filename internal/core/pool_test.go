@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func poolTestInput(t *testing.T, opt Options) *Input {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewInput(m, opt)
+	return mustInput(t, m, opt)
 }
 
 func TestSolverPoolBoundDefaultsToWorkers(t *testing.T) {
@@ -35,14 +36,23 @@ func TestSolverPoolBoundDefaultsToWorkers(t *testing.T) {
 // contract: at most bound solvers' scratch ever exists.
 func TestSolverPoolBlocksAtBound(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	ctx := context.Background()
 	in := poolTestInput(t, Options{Workers: 1, SolverPoolBound: 2})
-	s1 := in.AcquireSolver()
-	s2 := in.AcquireSolver()
+	s1, err1 := in.AcquireSolverContext(ctx)
+	s2, err2 := in.AcquireSolverContext(ctx)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if s1 == s2 {
 		t.Fatal("pool handed out the same solver twice")
 	}
 	acquired := make(chan *Solver)
-	go func() { acquired <- in.AcquireSolver() }()
+	go func() {
+		// A background context never cancels, so the wait can only end
+		// with a solver.
+		s, _ := in.AcquireSolverContext(ctx)
+		acquired <- s
+	}()
 	select {
 	case <-acquired:
 		t.Fatal("third acquire succeeded with bound 2 and both solvers in flight")
@@ -63,6 +73,7 @@ func TestSolverPoolBlocksAtBound(t *testing.T) {
 // TestSolverPoolBoundSurvivesUpdate checks the bound propagates through
 // the incremental-derivation path.
 func TestSolverPoolBoundSurvivesUpdate(t *testing.T) {
+	ctx := context.Background()
 	tr := mpisim.ArtificialSized(8, 20)
 	r, err := microscopic.NewReslicer(tr)
 	if err != nil {
@@ -72,8 +83,8 @@ func TestSolverPoolBoundSurvivesUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInput(m, Options{SolverPoolBound: 5})
-	next, err := in.Pan(1)
+	in := mustInput(t, m, Options{SolverPoolBound: 5})
+	next, err := in.AdvanceContext(ctx, in.Model.Reslicer(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +97,10 @@ func TestSolverPoolBoundSurvivesUpdate(t *testing.T) {
 // bound allows; everything must complete (no deadlock, no lost wakeups)
 // and answers must match the sequential result.
 func TestSolverPoolUnderChurn(t *testing.T) {
+	ctx := context.Background()
 	testutil.VerifyNoLeaks(t)
 	in := poolTestInput(t, Options{Workers: 2, SolverPoolBound: 2})
-	want, err := in.NewSolver().Run(0.5)
+	want, err := in.NewSolver().RunContext(ctx, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +111,12 @@ func TestSolverPoolUnderChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				s := in.AcquireSolver()
-				pt, err := s.Run(0.5)
+				s, err := in.AcquireSolverContext(ctx)
+				if err != nil {
+					errs <- err
+					return
+				}
+				pt, err := s.RunContext(ctx, 0.5)
 				in.ReleaseSolver(s)
 				if err != nil {
 					errs <- err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -61,13 +62,15 @@ func randomSmallModel(rng *rand.Rand) *microscopic.Model {
 // counts, state counts, data and p, the algorithm's pIC equals the
 // brute-force optimum.
 func TestPropertyOptimalOnRandomShapes(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomSmallModel(rng)
-		agg := New(m, Options{})
+		in := mustInput(t, m, Options{})
+		s := in.NewSolver()
 		enumerated := exhaustive.EnumerateSpatiotemporal(m.H.Root, 0, m.NumSlices()-1, 0)
 		p := rng.Float64()
-		pt, err := agg.Run(p)
+		pt, err := s.RunContext(ctx, p)
 		if err != nil {
 			return false
 		}
@@ -85,18 +88,20 @@ func TestPropertyOptimalOnRandomShapes(t *testing.T) {
 // TestPropertyReportedPICMatchesAreas: the partition's reported gain/loss
 // always equal the sum of its areas' measures.
 func TestPropertyReportedPICMatchesAreas(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomSmallModel(rng)
-		agg := New(m, Options{})
+		in := mustInput(t, m, Options{})
+		s := in.NewSolver()
 		p := rng.Float64()
-		pt, err := agg.Run(p)
+		pt, err := s.RunContext(ctx, p)
 		if err != nil {
 			return false
 		}
 		var gain, loss float64
 		for _, ar := range pt.Areas {
-			g, l := agg.EvaluateArea(ar)
+			g, l := in.EvaluateArea(ar)
 			gain += g
 			loss += l
 		}
@@ -111,10 +116,11 @@ func TestPropertyReportedPICMatchesAreas(t *testing.T) {
 // TestPropertyMicroscopicBeatsNothingAtPZero: at p=0 the optimum's pIC is
 // exactly 0 (the microscopic partition's value), never negative.
 func TestPropertyMicroscopicBeatsNothingAtPZero(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomSmallModel(rng)
-		pt, err := New(m, Options{}).Run(0)
+		pt, err := mustInput(t, m, Options{}).NewSolver().RunContext(ctx, 0)
 		if err != nil {
 			return false
 		}
@@ -129,6 +135,7 @@ func TestPropertyMicroscopicBeatsNothingAtPZero(t *testing.T) {
 // (same trace at a different time unit) must not change the chosen
 // partition — d(t) scales identically, so every ρ is unchanged.
 func TestPropertyScaleInvariance(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		paths := randomHierarchyPaths(rng, 5)
@@ -152,11 +159,11 @@ func TestPropertyScaleInvariance(t *testing.T) {
 			}
 		}
 		p := rng.Float64()
-		p1, err := New(m1, Options{}).Run(p)
+		p1, err := mustInput(t, m1, Options{}).NewSolver().RunContext(ctx, p)
 		if err != nil {
 			return false
 		}
-		p2, err := New(m2, Options{}).Run(p)
+		p2, err := mustInput(t, m2, Options{}).NewSolver().RunContext(ctx, p)
 		if err != nil {
 			return false
 		}
@@ -170,6 +177,7 @@ func TestPropertyScaleInvariance(t *testing.T) {
 // TestPropertyPermutationInvariance: permuting the state labels must not
 // change the partition geometry (the criterion is a sum over states).
 func TestPropertyPermutationInvariance(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		paths := randomHierarchyPaths(rng, 4)
@@ -192,11 +200,11 @@ func TestPropertyPermutationInvariance(t *testing.T) {
 			}
 		}
 		p := rng.Float64()
-		p1, err := New(m1, Options{}).Run(p)
+		p1, err := mustInput(t, m1, Options{}).NewSolver().RunContext(ctx, p)
 		if err != nil {
 			return false
 		}
-		p2, err := New(m2, Options{}).Run(p)
+		p2, err := mustInput(t, m2, Options{}).NewSolver().RunContext(ctx, p)
 		if err != nil {
 			return false
 		}

@@ -11,32 +11,29 @@ import (
 	"ocelotl/internal/timeslice"
 )
 
-// Coarsen derives the Input one pyramid level up: the same window at
-// factor× the slice width (factor a power of two dividing |T|), computed
-// from this input's model by slice-pair merging (microscopic.MergePairs)
-// and therefore bit-identical to NewInput at the coarse grid — the merged
-// model's rows are exactly this input's leaf slice rows summed in pairs,
-// and the input pass over them is the one shared fill path. The property
-// tests enforce the equality down to the float.
-//
-// Against a from-scratch coarse build, Coarsen skips the event-index fill
-// entirely (the merge is O(|X|·|S|·|T|), independent of event count) and
-// its matrix pass is (1/factor²) the size of the fine one — the overview
-// economics the serving layer's progressive responses ride on: an
-// analyst's coarse preview costs a fraction of the window they are
-// waiting for.
-func (in *Input) Coarsen(factor int) (*Input, error) {
-	return in.CoarsenContext(context.Background(), factor)
-}
-
 // FailpointCoarsen names the fault-injection site at the head of every
 // pair-merge coarsening (preview overviews) — chaos tests use it to fail
 // the degrade path independently of the fine build.
 const FailpointCoarsen = "core/coarsen"
 
-// CoarsenContext is Coarsen with cooperative cancellation, checked once
-// per hierarchy node inside the coarse matrix fill like every other input
-// pass.
+// CoarsenContext derives the Input one pyramid level up: the same window
+// at factor× the slice width (factor a power of two dividing |T|),
+// computed from this input's model by slice-pair merging
+// (microscopic.MergePairs) and therefore bit-identical to NewInputContext
+// at the coarse grid — the merged model's rows are exactly this input's
+// leaf slice rows summed in pairs, and the input pass over them is the one
+// shared fill path. The property tests enforce the equality down to the
+// float.
+//
+// Against a from-scratch coarse build, CoarsenContext skips the
+// event-index fill entirely (the merge is O(|X|·|S|·|T|), independent of
+// event count) and its matrix pass is (1/factor²) the size of the fine
+// one — the overview economics the serving layer's progressive responses
+// ride on: an analyst's coarse preview costs a fraction of the window
+// they are waiting for.
+//
+// ctx is checked once per hierarchy node inside the coarse matrix fill,
+// like every other input pass.
 func (in *Input) CoarsenContext(ctx context.Context, factor int) (*Input, error) {
 	if err := failpoint.InjectContext(ctx, FailpointCoarsen); err != nil {
 		return nil, err
@@ -72,7 +69,7 @@ const (
 	// ResolveHit: the exact window was the level's resident Input.
 	ResolveHit ResolveKind = "hit"
 	// ResolvePan: the level was resident at another offset; the Input was
-	// pan-derived from it via Update (O(Δ·|T|) per node).
+	// pan-derived from it via UpdateContext (O(Δ·|T|) per node).
 	ResolvePan ResolveKind = "pan"
 	// ResolveScratch: no resident level matched the request's grid; the
 	// Input was built from the event index.
@@ -82,10 +79,10 @@ const (
 // Pyramid is the engine-level multi-resolution ladder: per slice-width
 // grid level, the most recently used Input, so that a zoom to a warm
 // level resolves by hit or same-grid pan-derivation — the existing
-// bit-identical Update path — before touching the event index. It turns
-// the aggregate-overview-then-drill loop into pan economics: the first
-// visit to a resolution pays a scratch build, every later visit pays
-// O(Δ·|T|) per node.
+// bit-identical UpdateContext path — before touching the event index. It
+// turns the aggregate-overview-then-drill loop into pan economics: the
+// first visit to a resolution pays a scratch build, every later visit
+// pays O(Δ·|T|) per node.
 //
 // The ladder holds at most maxLevels resident Inputs (least recently used
 // level dropped first), bounding the extra residency at
@@ -123,8 +120,8 @@ func NewPyramid(r *microscopic.Reslicer, opts Options, maxLevels int) *Pyramid {
 // Resolve returns the Input for sl's window, preferring the ladder: an
 // exact resident window is returned as-is, a resident window on the same
 // grid pan-derives (Reslicer.Shift + Input.UpdateContext — bit-identical
-// to scratch by the Update property), and only an unknown grid level
-// falls through to the event index. The resolved Input becomes its
+// to scratch by the UpdateContext property), and only an unknown grid
+// level falls through to the event index. The resolved Input becomes its
 // level's resident.
 func (p *Pyramid) Resolve(ctx context.Context, sl timeslice.Slicer) (*Input, ResolveKind, error) {
 	gid := gridOf(sl)

@@ -11,10 +11,11 @@ import (
 )
 
 // TestCoarsenBitIdentity: coarsening a fine Input is bit-identical to
-// NewInput on the pair-merged model at the coarse grid — for random
+// NewInputContext on the pair-merged model at the coarse grid — for random
 // traces, hierarchies, factors, worker counts and factor-aligned pans of
 // the fine window (the alignment pyramid levels guarantee).
 func TestCoarsenBitIdentity(t *testing.T) {
+	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run("workers"+strconv.Itoa(workers), func(t *testing.T) {
@@ -38,8 +39,8 @@ func TestCoarsenBitIdentity(t *testing.T) {
 					m, _ = testShift(t, r, m, k)
 				}
 				opt := Options{Workers: workers, Normalize: trial%2 == 0}
-				in := NewInput(m, opt)
-				coarse, err := in.Coarsen(factor)
+				in := mustInput(t, m, opt)
+				coarse, err := in.CoarsenContext(ctx, factor)
 				if err != nil {
 					t.Fatalf("trial %d: Coarsen(%d): %v", trial, factor, err)
 				}
@@ -47,7 +48,7 @@ func TestCoarsenBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh := NewInput(merged, opt)
+				fresh := mustInput(t, merged, opt)
 				requireInputsBitIdentical(t, coarse, fresh,
 					"trial "+strconv.Itoa(trial)+" factor "+strconv.Itoa(factor))
 				if coarse.Model.Slicer.N != T/factor {
@@ -65,6 +66,7 @@ func TestCoarsenBitIdentity(t *testing.T) {
 // slice counts and unaligned grid offsets must error rather than produce
 // an off-grid level.
 func TestCoarsenRejectsBadFactors(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	tr := windowTrace(rng, 6, 300, 20)
 	r, err := microscopic.NewReslicer(tr)
@@ -75,14 +77,14 @@ func TestCoarsenRejectsBadFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInput(m, Options{})
+	in := mustInput(t, m, Options{})
 	for _, factor := range []int{0, 1, 3, 5, 8} { // 8 ∤ 12, 3/5 not powers of 2
-		if _, err := in.Coarsen(factor); err == nil {
+		if _, err := in.CoarsenContext(ctx, factor); err == nil {
 			t.Errorf("Coarsen(%d) on |T|=12 succeeded, want error", factor)
 		}
 	}
 	odd, _ := testShift(t, r, m, 1) // grid offset 1: not 2-aligned
-	if _, err := NewInput(odd, Options{}).Coarsen(2); err == nil {
+	if _, err := mustInput(t, odd, Options{}).CoarsenContext(ctx, 2); err == nil {
 		t.Error("Coarsen(2) on an odd grid offset succeeded, want error")
 	}
 }
@@ -137,7 +139,7 @@ func TestPyramidZoomBitIdentity(t *testing.T) {
 					t.Fatalf("step %d %s: %v", step, label, err)
 				}
 				kinds[kind]++
-				fresh := NewInput(testBuildAt(t, r, in.Model.Slicer), opt)
+				fresh := mustInput(t, testBuildAt(t, r, in.Model.Slicer), opt)
 				requireInputsBitIdentical(t, in, fresh,
 					"step "+strconv.Itoa(step)+" "+label+" ("+string(kind)+")")
 			}
@@ -193,7 +195,7 @@ func TestPyramidZoomInViaFinerLevel(t *testing.T) {
 	if kind != ResolvePan {
 		t.Fatalf("re-drill: kind %q, want pan", kind)
 	}
-	requireInputsBitIdentical(t, again, NewInput(testBuildAt(t, r, again.Model.Slicer), Options{}), "re-drill")
+	requireInputsBitIdentical(t, again, mustInput(t, testBuildAt(t, r, again.Model.Slicer), Options{}), "re-drill")
 }
 
 // TestPyramidLevelCap: the ladder retains at most maxLevels levels,
@@ -269,7 +271,7 @@ func TestPyramidConcurrentResolve(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				fresh := NewInput(testBuildAt(t, r, got.Model.Slicer), Options{Workers: 2})
+				fresh := mustInput(t, testBuildAt(t, r, got.Model.Slicer), Options{Workers: 2})
 				gotG, gotL := got.RootGainLoss()
 				wantG, wantL := fresh.RootGainLoss()
 				if gotG != wantG || gotL != wantL {
@@ -326,7 +328,7 @@ func TestEstimateMemoryBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := NewInput(m, Options{})
+		in := mustInput(t, m, Options{})
 		est := EstimateMemoryBytes(m.H.NumNodes(), m.NumStates(), T)
 		if got := int64(in.MemoryBytes()); got != est {
 			t.Fatalf("trial %d: estimate %d, fresh MemoryBytes %d", trial, est, got)

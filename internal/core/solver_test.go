@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -8,12 +9,13 @@ import (
 // sequentialReference solves every p on one sequential Solver and records
 // the exact results.
 func sequentialReference(t *testing.T, in *Input, ps []float64) map[float64][4]interface{} {
+	ctx := context.Background()
 	t.Helper()
 	ref := make(map[float64][4]interface{}, len(ps))
 	s := in.NewSolver()
 	s.Workers = 1
 	for _, p := range ps {
-		pt, err := s.Run(p)
+		pt, err := s.RunContext(ctx, p)
 		if err != nil {
 			t.Fatalf("sequential Run(%v): %v", p, err)
 		}
@@ -28,8 +30,9 @@ func sequentialReference(t *testing.T, in *Input, ps []float64) map[float64][4]i
 // gain, loss, pIC) to a sequential pass. Run with -race to prove the
 // Input is never written after construction.
 func TestConcurrentSolversMatchSequential(t *testing.T) {
+	ctx := context.Background()
 	m := widerModel(t, 5)
-	in := NewInput(m, Options{})
+	in := mustInput(t, m, Options{})
 	ps := []float64{0, 0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.85, 0.95, 1}
 	if len(ps) < 8 {
 		t.Fatalf("need at least 8 concurrent queries, have %d", len(ps))
@@ -44,7 +47,7 @@ func TestConcurrentSolversMatchSequential(t *testing.T) {
 			wg.Add(1)
 			go func(i int, p float64) {
 				defer wg.Done()
-				pt, err := in.NewSolver().Run(p)
+				pt, err := in.NewSolver().RunContext(ctx, p)
 				if err != nil {
 					errs[i] = err
 					return
@@ -68,16 +71,17 @@ func TestConcurrentSolversMatchSequential(t *testing.T) {
 // TestSolverReuseAcrossPs: one Solver answering many p values in sequence
 // (scratch reuse) matches fresh Solvers per query.
 func TestSolverReuseAcrossPs(t *testing.T) {
+	ctx := context.Background()
 	m := widerModel(t, 6)
-	in := NewInput(m, Options{Workers: 1})
+	in := mustInput(t, m, Options{Workers: 1})
 	ps := []float64{0.9, 0.1, 0.5, 0.1, 0.9, 0.3}
 	reused := in.NewSolver()
 	for _, p := range ps {
-		a, err := reused.Run(p)
+		a, err := reused.RunContext(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := in.NewSolver().Run(p)
+		b, err := in.NewSolver().RunContext(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,11 +94,12 @@ func TestSolverReuseAcrossPs(t *testing.T) {
 // TestSweepRunMatchesSequential: the parallel sweep returns, in order, the
 // exact partitions of a sequential pass.
 func TestSweepRunMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	m := widerModel(t, 7)
-	in := NewInput(m, Options{Workers: 8})
+	in := mustInput(t, m, Options{Workers: 8})
 	ps := []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
 	ref := sequentialReference(t, in, ps)
-	pts, err := in.SweepRun(ps)
+	pts, err := in.SweepRunContext(ctx, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,25 +109,26 @@ func TestSweepRunMatchesSequential(t *testing.T) {
 			t.Errorf("p=%v: sweep result differs from sequential", p)
 		}
 	}
-	if _, err := in.SweepRun([]float64{0.5, 2}); err == nil {
-		t.Error("SweepRun accepted p out of range")
+	if _, err := in.SweepRunContext(ctx, []float64{0.5, 2}); err == nil {
+		t.Error("SweepRunContext accepted p out of range")
 	}
 }
 
 // TestSweepQualityMatchesQuality: the parallel quality sweep returns, in
 // order, exactly what per-p Quality calls report.
 func TestSweepQualityMatchesQuality(t *testing.T) {
+	ctx := context.Background()
 	m := widerModel(t, 10)
-	in := NewInput(m, Options{Workers: 4})
+	in := mustInput(t, m, Options{Workers: 4})
 	ps := []float64{0, 0.2, 0.4, 0.6, 0.8, 1}
-	qs, err := in.SweepQuality(ps)
+	qs, err := in.SweepQualityContext(ctx, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := in.NewSolver()
 	s.Workers = 1
 	for i, p := range ps {
-		want, err := s.Quality(p)
+		want, err := s.QualityContext(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +136,8 @@ func TestSweepQualityMatchesQuality(t *testing.T) {
 			t.Errorf("p=%v: sweep quality %+v, sequential %+v", p, qs[i], want)
 		}
 	}
-	if _, err := in.SweepQuality([]float64{-1}); err == nil {
-		t.Error("SweepQuality accepted p out of range")
+	if _, err := in.SweepQualityContext(ctx, []float64{-1}); err == nil {
+		t.Error("SweepQualityContext accepted p out of range")
 	}
 }
 
@@ -139,14 +145,15 @@ func TestSweepQualityMatchesQuality(t *testing.T) {
 // the parallelized dichotomy: the returned point set (p values,
 // signatures, measures) must be exactly the sequential exploration's.
 func TestSignificantPsParallelMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	m := widerModel(t, 8)
-	seq := NewInput(m, Options{Workers: 1})
-	par := NewInput(m, Options{Workers: 8})
-	a, err := seq.SignificantPs(1e-3)
+	seq := mustInput(t, m, Options{Workers: 1})
+	par := mustInput(t, m, Options{Workers: 8})
+	a, err := seq.SignificantPsContext(ctx, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.SignificantPs(1e-3)
+	b, err := par.SignificantPsContext(ctx, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,26 +170,33 @@ func TestSignificantPsParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAggregatorFacadeConcurrentRuns: the compatibility facade pools
-// solvers, so concurrent Run calls on one Aggregator are safe and agree
-// with the sequential answers.
-func TestAggregatorFacadeConcurrentRuns(t *testing.T) {
+// TestPooledSolversConcurrentRuns: queries that each borrow a solver from
+// the Input's pool may run concurrently and agree with the sequential
+// answers.
+func TestPooledSolversConcurrentRuns(t *testing.T) {
+	ctx := context.Background()
 	m := widerModel(t, 9)
-	agg := New(m, Options{})
+	in := mustInput(t, m, Options{})
 	ps := []float64{0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9}
-	ref := sequentialReference(t, agg.Input, ps)
+	ref := sequentialReference(t, in, ps)
 	var wg sync.WaitGroup
 	for _, p := range ps {
 		wg.Add(1)
 		go func(p float64) {
 			defer wg.Done()
-			pt, err := agg.Run(p)
+			s, err := in.AcquireSolverContext(ctx)
 			if err != nil {
-				t.Errorf("Run(%v): %v", p, err)
+				t.Errorf("AcquireSolverContext: %v", err)
+				return
+			}
+			defer in.ReleaseSolver(s)
+			pt, err := s.RunContext(ctx, p)
+			if err != nil {
+				t.Errorf("RunContext(%v): %v", p, err)
 				return
 			}
 			if got := [4]interface{}{pt.Signature(), pt.Gain, pt.Loss, pt.PIC}; got != ref[p] {
-				t.Errorf("p=%v: facade concurrent result differs from sequential", p)
+				t.Errorf("p=%v: pooled concurrent result differs from sequential", p)
 			}
 		}(p)
 	}

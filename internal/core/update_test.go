@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -32,8 +33,9 @@ func windowTrace(rng *rand.Rand, nRes, nEv int, winEnd float64) *trace.Trace {
 // requireInputsBitIdentical asserts every observable of the incremental
 // input equals the fresh one's down to the float: the gain/loss arenas,
 // the slice/prefix rows, the normalization constants, and the partitions
-// (with their measures) of several Run(p) queries.
+// (with their measures) of several RunContext queries.
 func requireInputsBitIdentical(t *testing.T, got, want *Input, label string) {
+	ctx := context.Background()
 	t.Helper()
 	for c := range want.gain {
 		if got.gain[c] != want.gain[c] || got.loss[c] != want.loss[c] {
@@ -57,11 +59,11 @@ func requireInputsBitIdentical(t *testing.T, got, want *Input, label string) {
 		t.Fatalf("%s: RootGainLoss (%v,%v) vs (%v,%v)", label, gg, gl, wg, wl)
 	}
 	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		a, err := got.NewSolver().Run(p)
+		a, err := got.NewSolver().RunContext(ctx, p)
 		if err != nil {
 			t.Fatalf("%s: incremental Run(%v): %v", label, p, err)
 		}
-		b, err := want.NewSolver().Run(p)
+		b, err := want.NewSolver().RunContext(ctx, p)
 		if err != nil {
 			t.Fatalf("%s: fresh Run(%v): %v", label, p, err)
 		}
@@ -77,9 +79,10 @@ func requireInputsBitIdentical(t *testing.T, got, want *Input, label string) {
 
 // TestUpdateEquivalenceRandomSequences is the incremental-equivalence
 // property test: any sequence of random Pan/Zoom/Update calls yields an
-// Input bit-identical to NewInput built fresh on the final window — for
-// the plain and the Normalize: true path, sequentially and parallel.
+// Input bit-identical to NewInputContext built fresh on the final window —
+// for the plain and the Normalize: true path, sequentially and parallel.
 func TestUpdateEquivalenceRandomSequences(t *testing.T) {
+	ctx := context.Background()
 	for _, opt := range []Options{
 		{Workers: 1},
 		{Workers: 4},
@@ -104,13 +107,13 @@ func TestUpdateEquivalenceRandomSequences(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in := NewInput(m, opt)
+			in := mustInput(t, m, opt)
 			for step := 0; step < 12; step++ {
 				var label string
 				switch op := rng.Intn(4); op {
 				case 0: // pan, small or past-the-edge
 					k := rng.Intn(2*T+6) - (T + 3)
-					in, err = in.Pan(k)
+					in, err = in.AdvanceContext(ctx, in.Model.Reslicer(), k)
 					label = "Pan(" + strconv.Itoa(k) + ")"
 				case 1: // zoom in or out, occasionally full-width (a pan)
 					lo := rng.Intn(2*T) - T/2
@@ -118,12 +121,12 @@ func TestUpdateEquivalenceRandomSequences(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						hi = lo + T - 1 // full width: the pan fast path
 					}
-					in, err = in.Zoom(lo, hi)
+					in, err = in.Zoom(ctx, lo, hi)
 					label = "Zoom(" + strconv.Itoa(lo) + "," + strconv.Itoa(hi) + ")"
 				case 2: // raw Update from an explicit Shift
 					k := rng.Intn(7) - 3
 					m2, ov := testShift(t, r, in.Model, k)
-					in, err = in.Update(m2, ov), nil
+					in, err = in.UpdateContext(ctx, m2, ov)
 					label = "Update(Shift " + strconv.Itoa(k) + ")"
 				default: // arbitrary absolute window: no reusable slices
 					lo := rng.Float64() * 20
@@ -131,13 +134,13 @@ func TestUpdateEquivalenceRandomSequences(t *testing.T) {
 					if werr != nil {
 						t.Fatal(werr)
 					}
-					in, err = in.Update(m2, ov), nil
+					in, err = in.UpdateContext(ctx, m2, ov)
 					label = "Update(Window)"
 				}
 				if err != nil {
 					t.Fatalf("step %d %s: %v", step, label, err)
 				}
-				fresh := NewInput(testBuildAt(t, r, in.Model.Slicer), opt)
+				fresh := mustInput(t, testBuildAt(t, r, in.Model.Slicer), opt)
 				requireInputsBitIdentical(t, in, fresh,
 					"step "+strconv.Itoa(step)+" "+label)
 				// The incrementally produced model must itself match a full
@@ -159,6 +162,7 @@ func TestUpdateEquivalenceRandomSequences(t *testing.T) {
 // TestUpdateDegradesToRebuild: a foreign model (different hierarchy) or an
 // empty overlap must still produce a correct Input.
 func TestUpdateDegradesToRebuild(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(99))
 	tr := windowTrace(rng, 6, 400, 10)
 	r, err := microscopic.NewReslicer(tr)
@@ -169,7 +173,7 @@ func TestUpdateDegradesToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInput(m, Options{Workers: 2})
+	in := mustInput(t, m, Options{Workers: 2})
 
 	// Empty/garbage overlaps: still bit-identical to fresh.
 	m2, _ := testShift(t, r, m, 3)
@@ -178,32 +182,41 @@ func TestUpdateDegradesToRebuild(t *testing.T) {
 		{OldLo: -4, NewLo: 0, W: 5},
 		{OldLo: 0, NewLo: 0, W: 99},
 	} {
-		got := in.Update(m2, ov)
-		requireInputsBitIdentical(t, got, NewInput(m2, Options{Workers: 2}), "garbage overlap")
+		got, err := in.UpdateContext(ctx, m2, ov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireInputsBitIdentical(t, got, mustInput(t, m2, Options{Workers: 2}), "garbage overlap")
 	}
 
-	// A model on another hierarchy: Update must fall back to NewInput.
+	// A model on another hierarchy: UpdateContext must fall back to a
+	// fresh input pass.
 	tr2 := windowTrace(rng, 4, 200, 10)
 	other, err := microscopic.Build(tr2, microscopic.Options{Slices: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := in.Update(other, microscopic.SliceOverlap{OldLo: 0, NewLo: 0, W: 8})
+	got, err := in.UpdateContext(ctx, other, microscopic.SliceOverlap{OldLo: 0, NewLo: 0, W: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Model != other || got.T != 8 {
 		t.Fatal("fallback rebuild lost the model")
 	}
 }
 
-// TestPanZoomNeedReslicer: the convenience helpers refuse models without
-// an event index instead of silently doing something expensive and wrong.
+// TestPanZoomNeedReslicer: a pan (AdvanceContext with the model's nil
+// reslicer) and Zoom refuse models without an event index instead of
+// silently doing something expensive and wrong.
 func TestPanZoomNeedReslicer(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
 	m := randomModel2(t, rng, paths2x2, 4)
-	in := NewInput(m, Options{})
-	if _, err := in.Pan(1); err == nil {
-		t.Error("Pan accepted a model without a reslicer")
+	in := mustInput(t, m, Options{})
+	if _, err := in.AdvanceContext(ctx, in.Model.Reslicer(), 1); err == nil {
+		t.Error("AdvanceContext accepted a model without a reslicer")
 	}
-	if _, err := in.Zoom(1, 2); err == nil {
+	if _, err := in.Zoom(ctx, 1, 2); err == nil {
 		t.Error("Zoom accepted a model without a reslicer")
 	}
 }
@@ -211,6 +224,7 @@ func TestPanZoomNeedReslicer(t *testing.T) {
 // TestUpdatePreservesOldInput: the receiver must stay valid and unchanged
 // after deriving a new window from it (immutability contract).
 func TestUpdatePreservesOldInput(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
 	tr := windowTrace(rng, 6, 500, 12)
 	r, err := microscopic.NewReslicer(tr)
@@ -221,13 +235,13 @@ func TestUpdatePreservesOldInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInput(m, Options{})
-	before, err := in.NewSolver().Run(0.4)
+	in := mustInput(t, m, Options{})
+	before, err := in.NewSolver().RunContext(ctx, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gainCopy := append([]float64(nil), in.gain...)
-	if _, err := in.Pan(3); err != nil {
+	if _, err := in.AdvanceContext(ctx, in.Model.Reslicer(), 3); err != nil {
 		t.Fatal(err)
 	}
 	for c := range gainCopy {
@@ -235,7 +249,7 @@ func TestUpdatePreservesOldInput(t *testing.T) {
 			t.Fatalf("Pan mutated the source input (cell %d)", c)
 		}
 	}
-	after, err := in.NewSolver().Run(0.4)
+	after, err := in.NewSolver().RunContext(ctx, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}

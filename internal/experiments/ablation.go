@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -26,7 +27,7 @@ func RunAblation(cfg Config) error {
 	cfg.println("1. scaling in |T| at |S|=48 (expect ~8× time per 2× slices at large |T|):")
 	cfg.printf("%8s %12s %12s %14s\n", "|T|", "input", "run", "cells")
 	for _, T := range []int{16, 32, 64, 128} {
-		input, run, cells, err := measureScaling(48, T)
+		input, run, cells, err := measureScaling(cfg.context(), 48, T)
 		if err != nil {
 			return err
 		}
@@ -35,7 +36,7 @@ func RunAblation(cfg Config) error {
 	cfg.println("\n2. scaling in |S| at |T|=32 (expect ~2× time per 2× resources):")
 	cfg.printf("%8s %12s %12s %14s\n", "|S|", "input", "run", "cells")
 	for _, S := range []int{24, 48, 96, 192, 384} {
-		input, run, cells, err := measureScaling(S, 32)
+		input, run, cells, err := measureScaling(cfg.context(), S, 32)
 		if err != nil {
 			return err
 		}
@@ -47,7 +48,10 @@ func RunAblation(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	in := core.NewInput(m, core.Options{})
+	in, err := core.NewInputContext(cfg.context(), m, core.Options{})
+	if err != nil {
+		return err
+	}
 	pa := product.New(m)
 	cfg.printf("%6s %14s %14s %10s\n", "p", "core pIC", "product pIC", "areas")
 	// The spatiotemporal curve is sampled concurrently (one solver per p
@@ -93,7 +97,10 @@ func RunAblation(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	inw := core.NewInput(mw, core.Options{})
+	inw, err := core.NewInputContext(cfg.context(), mw, core.Options{})
+	if err != nil {
+		return err
+	}
 	sweepPs := make([]float64, 16)
 	for i := range sweepPs {
 		sweepPs[i] = float64(i+1) / float64(len(sweepPs)+1)
@@ -139,18 +146,21 @@ func RunAblation(cfg Config) error {
 
 // measureScaling builds a synthetic model of the given dimensions and
 // times the two phases of the algorithm separately.
-func measureScaling(S, T int) (input, run time.Duration, cells int, err error) {
+func measureScaling(ctx context.Context, S, T int) (input, run time.Duration, cells int, err error) {
 	tr := mpisim.ArtificialSized(S, T)
 	m, err := microscopic.Build(tr, microscopic.Options{Slices: T})
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	start := time.Now()
-	in := core.NewInput(m, core.Options{})
+	in, err := core.NewInputContext(ctx, m, core.Options{})
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	input = time.Since(start)
 	solver := in.NewSolver()
 	start = time.Now()
-	if _, err := solver.Run(0.5); err != nil {
+	if _, err := solver.RunContext(ctx, 0.5); err != nil {
 		return 0, 0, 0, err
 	}
 	run = time.Since(start)

@@ -19,7 +19,7 @@ type caseBundle struct {
 	in    *core.Input
 }
 
-// casePrep memoizes case preparation across the experiments of one Run,
+// casePrep memoizes case preparation across the experiments of one run,
 // so figures sharing a case (fig1 and fig2 both use case A) generate and
 // build it once, and so Prebuild can batch the input passes of
 // independent cases across the worker pool. Each case's once-guard is
@@ -53,7 +53,7 @@ func (p *casePrep) slot(c grid5000.Case) *caseOnce {
 
 // bundle returns the prepared case, building it on first use.
 func (cfg Config) bundle(c grid5000.Case) (*caseBundle, error) {
-	if cfg.prep == nil { // direct Run* call without the Run dispatcher
+	if cfg.prep == nil { // direct Run* call without the RunContext dispatcher
 		return buildBundle(cfg, c)
 	}
 	o := cfg.prep.slot(c)
@@ -70,7 +70,10 @@ func buildBundle(cfg Config, c grid5000.Case) (*caseBundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := core.NewInput(m, core.Options{Workers: cfg.Workers})
+	in, err := core.NewInputContext(cfg.context(), m, core.Options{Workers: cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
 	return &caseBundle{res: res, model: m, in: in}, nil
 }
 

@@ -18,7 +18,7 @@ import (
 
 // Config parametrizes an experiment run.
 type Config struct {
-	// OutDir receives rendered artifacts (created by Run if missing).
+	// OutDir receives rendered artifacts (created by RunContext if missing).
 	OutDir string
 	// Scale multiplies the paper's Table II event counts.
 	Scale float64
@@ -33,7 +33,7 @@ type Config struct {
 	// worker-count knob the serving layer exposes.
 	Workers int
 
-	// prep memoizes prepared cases across the experiments of one Run so
+	// prep memoizes prepared cases across the experiments of one run so
 	// independent cases batch across the worker pool (see batch.go).
 	prep *casePrep
 
@@ -98,25 +98,21 @@ func casesFor(names []string) []grid5000.Case {
 // (generation, microscopic model, Input) of the independent cases the
 // named experiments consume across the worker pool, instead of letting
 // each experiment build its case sequentially on first touch. Successive
-// Run calls with the returned Config share the prepared cases.
+// RunContext calls with the returned Config share the prepared cases.
 func Prepare(cfg Config, names ...string) Config {
 	cfg.prep = newCasePrep()
 	cfg.prebuild(casesFor(names))
 	return cfg
 }
 
-// Run dispatches one experiment by name ("all" runs everything). A full
-// run prebuilds the cases the figure experiments share across the worker
-// pool (multi-trace batching) before executing the experiments in order.
-func Run(name string, cfg Config) error {
-	return RunContext(context.Background(), name, cfg)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked between
-// experiments (and between the per-case stages of the batch ones), and is
-// forwarded into every engine sweep an experiment drives, so a signalled
-// batch run stops within one solve's worth of work instead of finishing
-// figures nobody will look at.
+// RunContext dispatches one experiment by name ("all" runs everything). A
+// full run prebuilds the cases the figure experiments share across the
+// worker pool (multi-trace batching) before executing the experiments in
+// order. ctx is checked between experiments (and between the per-case
+// stages of the batch ones), and is forwarded into every input pass and
+// engine sweep an experiment drives, so a signalled batch run stops within
+// one node's worth of work instead of finishing figures nobody will look
+// at.
 func RunContext(ctx context.Context, name string, cfg Config) error {
 	if cfg.OutDir != "" {
 		if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -170,10 +171,10 @@ func TestRunAblation(t *testing.T) {
 
 func TestRunDispatch(t *testing.T) {
 	cfg, _ := quickCfg(t)
-	if err := Run("bogus", cfg); err == nil {
+	if err := RunContext(context.Background(), "bogus", cfg); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if err := Run("table1", cfg); err != nil {
+	if err := RunContext(context.Background(), "table1", cfg); err != nil {
 		t.Errorf("dispatch table1: %v", err)
 	}
 }
@@ -189,7 +190,7 @@ func TestNamesComplete(t *testing.T) {
 		if n == "table2" || n == "fig1" || n == "fig2" || n == "fig4" {
 			continue // covered above; skip the slow ones here
 		}
-		if err := Run(n, cfg); err != nil {
+		if err := RunContext(context.Background(), n, cfg); err != nil {
 			t.Errorf("Run(%s): %v", n, err)
 		}
 	}

@@ -25,8 +25,11 @@ func RunTable1(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.35)
+	in, err := core.NewInputContext(cfg.context(), m, core.Options{})
+	if err != nil {
+		return err
+	}
+	pt, err := in.NewSolver().RunContext(cfg.context(), 0.35)
 	if err != nil {
 		return err
 	}
@@ -74,7 +77,10 @@ func RunFig3(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	in := core.NewInput(m, core.Options{})
+	in, err := core.NewInputContext(cfg.context(), m, core.Options{})
+	if err != nil {
+		return err
+	}
 
 	// 3.b: the naive fixed partition (3 clusters × 4 five-slice periods).
 	fixed := fixedPartition(m)
@@ -185,7 +191,7 @@ func RunFig1(cfg Config) error {
 		return err
 	}
 	res, m, in := b.res, b.model, b.in
-	pt, err := in.NewSolver().Run(0.2)
+	pt, err := in.NewSolver().RunContext(cfg.context(), 0.2)
 	if err != nil {
 		return err
 	}
@@ -261,7 +267,7 @@ func RunFig4(cfg Config) error {
 		return err
 	}
 	res, m, in := b.res, b.model, b.in
-	pt, err := in.NewSolver().Run(0.35)
+	pt, err := in.NewSolver().RunContext(cfg.context(), 0.35)
 	if err != nil {
 		return err
 	}

@@ -116,8 +116,11 @@ func measureCase(cfg Config, sc grid5000.Scenario) (table2Row, error) {
 	// Stage 3: aggregation (input matrices + one Algorithm 1 run).
 	var in *core.Input
 	row.agg, err = timed(func() error {
-		in = core.NewInput(m, core.Options{})
-		_, err := in.NewSolver().RunContext(cfg.context(), 0.5)
+		var err error
+		if in, err = core.NewInputContext(cfg.context(), m, core.Options{}); err != nil {
+			return err
+		}
+		_, err = in.NewSolver().RunContext(cfg.context(), 0.5)
 		return err
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // RunWindowing backs the incremental-windowing claim with measurements: a
-// window change through microscopic.Reslicer + core.Input.Update costs
+// window change through microscopic.Reslicer + core.Input.UpdateContext costs
 // O(changed slices), against rebuilding the model and the whole Input from
 // scratch. The table sweeps the overlap fraction W/|T| from a 1-slice pan
 // down to a full displacement, plus a zoom (whose slice width changes, so
@@ -23,6 +24,7 @@ func RunWindowing(cfg Config) error {
 		S = 96
 		T = 50
 	)
+	ctx := cfg.context()
 	tr := mpisim.ArtificialSized(S, 4*T)
 	r, err := microscopic.NewReslicer(tr)
 	if err != nil {
@@ -32,7 +34,10 @@ func RunWindowing(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	in := core.NewInput(base, core.Options{})
+	in, err := core.NewInputContext(ctx, base, core.Options{})
+	if err != nil {
+		return err
+	}
 
 	cfg.printf("incremental window updates vs from-scratch rebuild (|S|=%d, |T|=%d, %d events):\n",
 		S, T, r.NumEvents())
@@ -45,7 +50,10 @@ func RunWindowing(cfg Config) error {
 		if err != nil {
 			return nil, 0, err
 		}
-		fresh := core.NewInput(m, core.Options{})
+		fresh, err := core.NewInputContext(ctx, m, core.Options{})
+		if err != nil {
+			return nil, 0, err
+		}
 		return fresh, time.Since(t0), nil
 	}
 	row := func(label string, overlap int, inc func() (*core.Input, error), start, end float64) error {
@@ -67,8 +75,11 @@ func RunWindowing(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		fresh := core.NewInput(fm, core.Options{})
-		if err := sameAnswers(got, fresh); err != nil {
+		fresh, err := core.NewInputContext(ctx, fm, core.Options{})
+		if err != nil {
+			return err
+		}
+		if err := sameAnswers(ctx, got, fresh); err != nil {
 			return fmt.Errorf("windowing %s: incremental diverged from fresh build: %w", label, err)
 		}
 		cfg.printf("%12s %9.0f%% %14v %14v %9.1f×\n", label,
@@ -86,13 +97,13 @@ func RunWindowing(cfg Config) error {
 			overlap = 0
 		}
 		if err := row(fmt.Sprintf("pan %d", k), overlap,
-			func() (*core.Input, error) { return in.Pan(k) }, start, end); err != nil {
+			func() (*core.Input, error) { return in.AdvanceContext(ctx, r, k) }, start, end); err != nil {
 			return err
 		}
 	}
 	zs, ze := base.Slicer.IntervalBounds(10, 19)
 	if err := row("zoom 10:19", 0,
-		func() (*core.Input, error) { return in.Zoom(10, 19) }, zs, ze); err != nil {
+		func() (*core.Input, error) { return in.Zoom(ctx, 10, 19) }, zs, ze); err != nil {
 		return err
 	}
 	cfg.println("\n(speedup scales with the overlap: surviving slice rows and the shared")
@@ -104,7 +115,6 @@ func RunWindowing(cfg Config) error {
 	// pays scratch once per resolution and pan prices on every revisit.
 	// The same bit-exact self-check guards every row.
 	py := core.NewPyramid(r, core.Options{}, 0)
-	ctx := cfg.context()
 	cfg.println("\npyramid zoom sequence (overview ⇄ drill, levels stay warm):")
 	cfg.printf("%24s %10s %14s %14s %10s\n", "step", "resolve", "pyramid", "scratch", "speedup")
 	pyRow := func(label string, sl timeslice.Slicer) error {
@@ -122,8 +132,11 @@ func RunWindowing(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		fresh := core.NewInput(fm, core.Options{})
-		if err := sameAnswers(got, fresh); err != nil {
+		fresh, err := core.NewInputContext(ctx, fm, core.Options{})
+		if err != nil {
+			return err
+		}
+		if err := sameAnswers(ctx, got, fresh); err != nil {
 			return fmt.Errorf("pyramid %s: diverged from fresh build: %w", label, err)
 		}
 		cfg.printf("%24s %10s %14v %14v %9.1f×\n", label, kind,
@@ -159,23 +172,23 @@ func RunWindowing(cfg Config) error {
 // same window: normalization constants and the optimal partitions at a few
 // p. The incremental path promises bit-identity, so the comparison is
 // exact.
-func sameAnswers(a, b *core.Input) error {
+func sameAnswers(ctx context.Context, a, b *core.Input) error {
 	ag, al := a.RootGainLoss()
 	bg, bl := b.RootGainLoss()
 	if ag != bg || al != bl {
 		return fmt.Errorf("RootGainLoss (%v,%v) vs (%v,%v)", ag, al, bg, bl)
 	}
 	for _, p := range []float64{0.25, 0.75} {
-		pa, err := a.NewSolver().Run(p)
+		pa, err := a.NewSolver().RunContext(ctx, p)
 		if err != nil {
 			return err
 		}
-		pb, err := b.NewSolver().Run(p)
+		pb, err := b.NewSolver().RunContext(ctx, p)
 		if err != nil {
 			return err
 		}
 		if pa.Signature() != pb.Signature() || pa.PIC != pb.PIC {
-			return fmt.Errorf("Run(%v) partitions differ", p)
+			return fmt.Errorf("RunContext(%v) partitions differ", p)
 		}
 	}
 	return nil

@@ -4,10 +4,10 @@ import "fmt"
 
 // MergePairs derives the model one pyramid level up: the same window
 // re-sliced at factor× the slice width (factor a power of two), with each
-// coarse cell d_x(s,t') the sum of its factor fine cells in ascending
-// slice order. This is the canonical coarse fill of the multi-resolution
-// pyramid: core.Input.Coarsen reproduces exactly these floats from its
-// slice rows, which is what makes "coarsen a fine Input" and "NewInput on
+// coarse cell d_x(s,t') the sum of its factor fine cells in ascending slice
+// order. This is the canonical coarse fill of the multi-resolution pyramid:
+// core.Input.CoarsenContext reproduces exactly these floats from its slice
+// rows, which is what makes "coarsen a fine Input" and "NewInputContext on
 // the merged model" bit-identical (see core's pyramid property tests).
 //
 // The merged d values are the exact event times of the window re-binned,

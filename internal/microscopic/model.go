@@ -33,7 +33,7 @@ type Model struct {
 
 // Reslicer returns the event index behind this model, or nil if the model
 // was built without one. Models with a reslicer support the incremental
-// window updates of core.Input.Pan/Zoom.
+// window updates of core.Input.AdvanceContext/Zoom.
 func (m *Model) Reslicer() *Reslicer { return m.resl }
 
 // NumStates returns |X|.

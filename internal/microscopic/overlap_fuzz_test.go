@@ -8,10 +8,10 @@ import (
 )
 
 // These fuzzers pin the window arithmetic every reuse decision rides on
-// (the serving cache, Input.Update's overlap verification, the CLI replay)
-// against brute-force oracles: ShiftOverlap against literal index
-// enumeration, GridOverlap against bit-exact slice-boundary comparison.
-// The seed corpus lives under testdata/fuzz; CI runs each fuzzer briefly
+// (the serving cache, Input.UpdateContext's overlap verification, the CLI
+// replay) against brute-force oracles: ShiftOverlap against literal index
+// enumeration, GridOverlap against bit-exact slice-boundary comparison. The
+// seed corpus lives under testdata/fuzz; CI runs each fuzzer briefly
 // (-fuzztime=10s) as a smoke pass.
 
 // FuzzShiftOverlap checks the k-pan overlap of a |T|-slice window against
@@ -88,8 +88,8 @@ func saneSlicerParams(start, span float64, n int) bool {
 // ways against the bit-exact boundary oracle:
 //
 //   - soundness (any pair): every slice pair the overlap claims shared
-//     must have bit-identical boundary floats, because Input.Update will
-//     copy matrix cells across on that promise;
+//     must have bit-identical boundary floats, because
+//     Input.UpdateContext will copy matrix cells across on that promise;
 //   - completeness (on-grid pair): a Shift-derived window must report
 //     exactly the ShiftOverlap of its pan distance — the incremental path
 //     must never degrade a legal pan to a rebuild.

@@ -209,9 +209,9 @@ func (r *Reslicer) BuildAt(sl timeslice.Slicer) (*Model, error) {
 
 // Shift pans the model's window by k slices on the same grid, copying the
 // |T|−|k| surviving slice columns and filling only the |k| new ones from
-// the event index. The returned overlap is what core.Input.Update needs to
-// reuse its matrices. Panning past the trace extent is allowed — slices
-// out there are simply empty.
+// the event index. The returned overlap is what core.Input.UpdateContext
+// needs to reuse its matrices. Panning past the trace extent is allowed —
+// slices out there are simply empty.
 func (r *Reslicer) Shift(m *Model, k int) (*Model, SliceOverlap, error) {
 	T := m.Slicer.N
 	nm := NewEmpty(r.h, m.Slicer.Shift(k), r.states)
@@ -243,7 +243,7 @@ func (r *Reslicer) Shift(m *Model, k int) (*Model, SliceOverlap, error) {
 
 // ShiftOverlap returns the surviving-slice mapping of a k-slice pan over a
 // |T|-slice window: the overlap Shift reports, exposed so consumers (like
-// core.Input.Update) can re-derive it from two slicers' grid offset.
+// core.Input.UpdateContext) can re-derive it from two slicers' grid offset.
 func ShiftOverlap(T, k int) SliceOverlap {
 	switch {
 	case k >= T || k <= -T:

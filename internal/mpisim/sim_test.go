@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -266,7 +267,7 @@ func TestAggregationFindsCGPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := core.Aggregate(m, 0.2)
+	pt, err := mustInput(t, m, core.Options{}).NewSolver().RunContext(context.Background(), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,19 +321,20 @@ func TestArtificialTrace(t *testing.T) {
 }
 
 func TestArtificialAggregationShape(t *testing.T) {
+	ctx := context.Background()
 	tr := Artificial()
 	m, err := microscopic.Build(tr, microscopic.Options{Slices: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.New(m, core.Options{})
+	in := mustInput(t, m, core.Options{})
 	// A low p keeps detail; a high p aggregates more coarsely
 	// (Fig. 3.d vs 3.e: 56 areas then 15).
-	lo, err := agg.Run(0.3)
+	lo, err := in.NewSolver().RunContext(ctx, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := agg.Run(0.95)
+	hi, err := in.NewSolver().RunContext(ctx, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,4 +378,15 @@ func TestEmitSegmentEdgeCases(t *testing.T) {
 	if err != nil || n != 0 {
 		t.Errorf("zero-share mix emitted %d events", n)
 	}
+}
+
+// mustInput runs the input pass under a background context, failing the
+// test on error.
+func mustInput(tb testing.TB, m *microscopic.Model, opt core.Options) *core.Input {
+	tb.Helper()
+	in, err := core.NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
 }

@@ -1,6 +1,7 @@
 package product
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -68,16 +69,17 @@ func TestProductIsCartesian(t *testing.T) {
 // spatiotemporal optimum achieves a criterion at least as good as the
 // product of the two unidimensional optima, at every p.
 func TestCoreDominatesProduct(t *testing.T) {
+	ctx := context.Background()
 	for seed := int64(0); seed < 5; seed++ {
 		m := randomModel(t, seed, 6)
-		ca := core.NewInput(m, core.Options{})
+		ca := mustInput(t, m, core.Options{})
 		pa := New(m)
 		for _, p := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1} {
 			prodPt, err := pa.Evaluate(ca, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			corePt, err := ca.NewSolver().Run(p)
+			corePt, err := ca.NewSolver().RunContext(ctx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,6 +94,7 @@ func TestCoreDominatesProduct(t *testing.T) {
 // pattern (Fig. 3.d): a trace whose structure cannot be expressed as a
 // Cartesian product. The core algorithm must strictly beat the baseline.
 func TestCoreStrictlyBeatsProductOnCrossPattern(t *testing.T) {
+	ctx := context.Background()
 	h, _ := hierarchy.FromPaths([]string{"A/a0", "A/a1", "B/b0", "B/b1"})
 	sl, _ := timeslice.New(0, 4, 4)
 	m := microscopic.NewEmpty(h, sl, []string{"u"})
@@ -107,14 +110,14 @@ func TestCoreStrictlyBeatsProductOnCrossPattern(t *testing.T) {
 		m.AddD(0, 2, ti, 0.35)
 		m.AddD(0, 3, ti, 0.65)
 	}
-	ca := core.NewInput(m, core.Options{})
+	ca := mustInput(t, m, core.Options{})
 	pa := New(m)
 	p := 0.45
 	prodPt, err := pa.Evaluate(ca, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corePt, err := ca.NewSolver().Run(p)
+	corePt, err := ca.NewSolver().RunContext(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestCoreStrictlyBeatsProductOnCrossPattern(t *testing.T) {
 
 func TestEvaluatePopulatesMeasures(t *testing.T) {
 	m := randomModel(t, 7, 4)
-	ca := core.NewInput(m, core.Options{})
+	ca := mustInput(t, m, core.Options{})
 	pt, err := New(m).Evaluate(ca, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -150,4 +153,15 @@ func TestRunPropagatesErrors(t *testing.T) {
 	if _, err := New(m).Run(math.NaN()); err == nil {
 		t.Error("NaN p accepted")
 	}
+}
+
+// mustInput runs the input pass under a background context, failing the
+// test on error.
+func mustInput(tb testing.TB, m *microscopic.Model, opt core.Options) *core.Input {
+	tb.Helper()
+	in, err := core.NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
 }

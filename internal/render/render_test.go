@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"context"
 	"image/color"
 	"image/png"
 	"strings"
@@ -19,14 +20,15 @@ import (
 
 // artificialScene builds a scene from the Fig. 3 artificial trace.
 func artificialScene(t *testing.T, p float64, opt Options) (*core.Input, *partition.Partition, *Scene) {
+	ctx := context.Background()
 	t.Helper()
 	tr := mpisim.Artificial()
 	m, err := microscopic.Build(tr, microscopic.Options{Slices: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(p)
+	in := mustInput(t, m, core.Options{})
+	pt, err := in.NewSolver().RunContext(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestDiagonalVsCrossMarks(t *testing.T) {
 			m.AddD(0, s, ti, 0.5)
 		}
 	}
-	in := core.NewInput(m, core.Options{})
+	in := mustInput(t, m, core.Options{})
 	// Same temporal partitioning within A → diagonal.
 	same := &partition.Partition{Areas: []partition.Area{
 		{Node: h.ByPath["A/a0"], I: 0, J: 1}, {Node: h.ByPath["A/a0"], I: 2, J: 3},
@@ -326,4 +328,15 @@ func TestMarkString(t *testing.T) {
 	if !strings.HasPrefix(Mark(9).String(), "mark(") {
 		t.Error("unknown mark String")
 	}
+}
+
+// mustInput runs the input pass under a background context, failing the
+// test on error.
+func mustInput(tb testing.TB, m *microscopic.Model, opt core.Options) *core.Input {
+	tb.Helper()
+	in, err := core.NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
 }

@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"context"
 	"image/color"
 	"math"
 	"strings"
@@ -66,13 +67,14 @@ func TestLumaWeights(t *testing.T) {
 }
 
 func TestSceneWithYCbCrPalette(t *testing.T) {
+	ctx := context.Background()
 	tr := mpisim.Artificial()
 	m, err := microscopic.Build(tr, microscopic.Options{Slices: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.4)
+	in := mustInput(t, m, core.Options{})
+	pt, err := in.NewSolver().RunContext(ctx, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +87,14 @@ func TestSceneWithYCbCrPalette(t *testing.T) {
 }
 
 func TestSVGTooltips(t *testing.T) {
+	ctx := context.Background()
 	tr := mpisim.Artificial()
 	m, err := microscopic.Build(tr, microscopic.Options{Slices: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.5)
+	in := mustInput(t, m, core.Options{})
+	pt, err := in.NewSolver().RunContext(ctx, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +122,11 @@ func TestSVGTooltips(t *testing.T) {
 }
 
 func TestTooltipTextContents(t *testing.T) {
+	ctx := context.Background()
 	tr := mpisim.Artificial()
 	m, _ := microscopic.Build(tr, microscopic.Options{Slices: 20})
-	in := core.NewInput(m, core.Options{})
-	pt, _ := in.NewSolver().Run(0.5)
+	in := mustInput(t, m, core.Options{})
+	pt, _ := in.NewSolver().RunContext(ctx, 0.5)
 	sc := BuildScene(in, pt, Options{Tooltips: true})
 	txt := tooltipText(sc, sc.Rects[0])
 	if !strings.Contains(txt, sc.Rects[0].Area.String()) {

@@ -21,11 +21,11 @@ type BuildKind string
 const (
 	// BuildHit: the exact window was cached.
 	BuildHit BuildKind = "hit"
-	// BuildDerived: a miss served by Input.Update from the nearest cached
-	// overlapping window (O(Δ·|T|) per node instead of O(|T|²)).
+	// BuildDerived: a miss served by Input.UpdateContext from the nearest
+	// cached overlapping window (O(Δ·|T|) per node instead of O(|T|²)).
 	BuildDerived BuildKind = "derived"
-	// BuildScratch: a miss with no overlapping neighbor — a full NewInput
-	// over a Reslicer-filled model.
+	// BuildScratch: a miss with no overlapping neighbor — a full
+	// NewInputContext over a Reslicer-filled model.
 	BuildScratch BuildKind = "scratch"
 	// BuildCoalesced: the request piggybacked on an identical in-flight
 	// build (singleflight).
@@ -63,7 +63,7 @@ func levelOf(sl timeslice.Slicer) uint64 {
 }
 
 // entry is one cached Input on the LRU list. ov memoizes the entry's
-// pair-merged coarse overview (core.Input.Coarsen) for progressive
+// pair-merged coarse overview (core.Input.CoarsenContext) for progressive
 // responses: built at most once, labeled preview on the wire, and never
 // inserted under a window key of its own — merge-derived floats may
 // differ in the last ulp from an event-index build at the coarse grid,
@@ -123,13 +123,13 @@ type flight struct {
 
 // InputCache is the window-keyed Input cache of the serving layer: an LRU
 // over (trace, grid level, window) with a byte budget derived from
-// core.Input.MemoryBytes. A miss does not go straight to NewInput — it
-// first looks for the nearest cached window of the same trace and shape
-// that overlaps the request on its slice grid (microscopic.GridOverlap)
-// and derives the new Input incrementally via Input.Update, falling back
+// core.Input.MemoryBytes. A miss does not go straight to NewInputContext —
+// it first looks for the nearest cached window of the same trace and shape
+// that overlaps the request on its slice grid (microscopic.GridOverlap) and
+// derives the new Input incrementally via Input.UpdateContext, falling back
 // to a from-scratch build only when nothing overlaps. Concurrent requests
-// for the same window are deduplicated (singleflight): one build runs,
-// the rest wait for its result.
+// for the same window are deduplicated (singleflight): one build runs, the
+// rest wait for its result.
 //
 // On top of the LRU the cache maintains one multi-resolution ladder per
 // hot trace, lazily: the most recent entry of each visited grid level is
@@ -496,8 +496,11 @@ func (c *InputCache) Preview(tr *Trace, sl timeslice.Slicer) *core.Input {
 const previewCoarsenMin = 32
 
 // overview returns e's preview Input: the entry's own Input for small
-// windows, otherwise its factor-2 Coarsen, built at most once per entry
-// and charged against the cache budget alongside the entry.
+// windows, otherwise its factor-2 coarsening, built at most once per
+// entry and charged against the cache budget alongside the entry. The
+// coarsening runs under a background context: the memoized overview is
+// shared by every later request, so no one request's cancellation should
+// abandon it.
 func (c *InputCache) overview(e *entry) *core.Input {
 	if e.key.slices < previewCoarsenMin || e.key.slices%2 != 0 {
 		return e.in
@@ -505,7 +508,7 @@ func (c *InputCache) overview(e *entry) *core.Input {
 	e.ovMu.Lock()
 	defer e.ovMu.Unlock()
 	if e.ov == nil {
-		ov, err := e.in.Coarsen(2)
+		ov, err := e.in.CoarsenContext(context.Background(), 2)
 		if err != nil {
 			return e.in
 		}
@@ -762,7 +765,10 @@ func (c *InputCache) insertStaleForTest(tr *Trace, sl timeslice.Slicer) {
 	if err != nil {
 		panic(err) // test-only helper; RAM-backed fills cannot fail
 	}
-	in := core.NewInput(m, c.opts)
+	in, err := core.NewInputContext(context.Background(), m, c.opts)
+	if err != nil {
+		panic(err) // test-only helper; a background build fails only under an armed failpoint
+	}
 	c.mu.Lock()
 	c.insertLocked(keyFor(tr, sl), in)
 	c.mu.Unlock()

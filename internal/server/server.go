@@ -2,7 +2,7 @@
 // long-lived HTTP/JSON front-end that keeps one microscopic.Reslicer per
 // loaded trace (Registry) and a window-keyed, byte-budgeted LRU cache of
 // core.Inputs (InputCache) whose misses are derived incrementally from
-// the nearest cached overlapping window via Input.Update instead of a
+// the nearest cached overlapping window via Input.UpdateContext instead of a
 // from-scratch input pass. It is the interactive-analysis interface the
 // paper argues for, turned into a service: an analyst (or dashboard) pans
 // and zooms a spatiotemporal window and re-aggregates at chosen p values,

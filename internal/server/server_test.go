@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ocelotl/internal/core"
+	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
 	"ocelotl/internal/testutil"
 	"ocelotl/internal/timeslice"
@@ -117,7 +118,7 @@ func TestLoadListInfoUnload(t *testing.T) {
 }
 
 // TestPanServedIncrementally is the acceptance scenario: load → aggregate
-// → pan. The panned window must be served via Input.Update from the
+// → pan. The panned window must be served via Input.UpdateContext from the
 // cached anchor (a derived build, not scratch), and its response body must
 // be byte-identical to the same window built from scratch on a fresh
 // server.
@@ -308,7 +309,7 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := core.NewInput(pm, core.Options{})
+	probe := mustInput(t, pm, core.Options{})
 	budget := int64(probe.MemoryBytes()) + 64 // one entry fits, two don't
 
 	c := NewInputCache(budget, core.Options{}, 0)
@@ -343,6 +344,7 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 // TestDerivedMatchesScratchAtCacheLevel checks bit-identity of the
 // cache's derivation path against a fresh build of the same window.
 func TestDerivedMatchesScratchAtCacheLevel(t *testing.T) {
+	ctx := context.Background()
 	tr := loadArtificial(t)
 	sl, err := timeslice.New(0, 10, 20)
 	if err != nil {
@@ -364,17 +366,17 @@ func TestDerivedMatchesScratchAtCacheLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := core.NewInput(fm, core.Options{})
+		fresh := mustInput(t, fm, core.Options{})
 		dg, dl := derived.RootGainLoss()
 		fg, fl := fresh.RootGainLoss()
 		if dg != fg || dl != fl {
 			t.Fatalf("pan %+d: root gain/loss (%v,%v) != fresh (%v,%v)", k, dg, dl, fg, fl)
 		}
-		dp, err := derived.NewSolver().Run(0.5)
+		dp, err := derived.NewSolver().RunContext(ctx, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp, err := fresh.NewSolver().Run(0.5)
+		fp, err := fresh.NewSolver().RunContext(ctx, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,7 +558,10 @@ func TestCacheAccountsForSolverPoolWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := c.Snapshot().Bytes
-	s := in.AcquireSolver() // warms the pool: scratch is now resident
+	s, err := in.AcquireSolverContext(context.Background()) // warms the pool: scratch is now resident
+	if err != nil {
+		t.Fatal(err)
+	}
 	in.ReleaseSolver(s)
 	if got := int64(in.MemoryBytes()); got <= cold {
 		t.Fatalf("MemoryBytes %d does not include pooled solver scratch (arenas alone: %d)", got, cold)
@@ -567,4 +572,15 @@ func TestCacheAccountsForSolverPoolWarmup(t *testing.T) {
 	if warm := c.Snapshot().Bytes; warm <= cold {
 		t.Fatalf("hit did not refresh accounting: %d -> %d", cold, warm)
 	}
+}
+
+// mustInput runs the input pass under a background context, failing the
+// test on error.
+func mustInput(tb testing.TB, m *microscopic.Model, opt core.Options) *core.Input {
+	tb.Helper()
+	in, err := core.NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
 }

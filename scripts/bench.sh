@@ -3,10 +3,10 @@
 # ns/op, allocs/op, bytes/op, plus any custom metric like
 # BenchmarkSweepCancel's cancel_ns_per_op: time-to-return after cancelling
 # a mid-flight sweep) so successive PRs leave a comparable perf trajectory
-# in the repo. The suite covers the engine (input pass, Run, the fused
-# multi-p sweeps BenchmarkSweepFused_{K4,K16} vs BenchmarkSweepSingle_K16,
-# the batched dichotomy BenchmarkSignificantPs{,_Batched}, cooperative
-# cancellation), the windowing families (BenchmarkWindowPan/Zoom), the
+# in the repo. The suite covers the engine (input pass, RunContext, the
+# fused multi-p sweeps BenchmarkSweepFused_{K4,K16} vs
+# BenchmarkSweepSingle_K16, the batched dichotomy BenchmarkSignificantPs,
+# cooperative cancellation), the windowing families (BenchmarkWindowPan/Zoom), the
 # out-of-core store (BenchmarkStoreBuild, BenchmarkStoreWindowRead with
 # chunks/op + readB/op, and BenchmarkWindowPan_DiskIndex — the disk twin
 # of the incremental pan), live ingestion (BenchmarkFollowTick: one

@@ -38,7 +38,6 @@ fi
 # The gated hot paths: one per headline claim of the perf trajectory.
 hot="
 BenchmarkSignificantPs
-BenchmarkSignificantPs_Batched
 BenchmarkSweepFused_K4
 BenchmarkSweepFused_K16
 BenchmarkWindowPan_Incremental
