@@ -4,7 +4,10 @@
 // measured with the registry, window cache, singleflight, JSON encoding
 // and HTTP framing around it:
 //
-//   - Hit:     the exact window is cached (steady-state re-query);
+//   - Hit:     the exact window is cached and the p repeats, so the
+//     answer comes from the window's answer memo (steady-state re-query);
+//   - HitNewP: the exact window is cached but every p is new, so each
+//     request solves on the cached Input;
 //   - Derived: each request pans one slice further, so every window is a
 //     miss served incrementally from its cached neighbor
 //     (Input.UpdateContext);
@@ -20,6 +23,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -64,6 +68,22 @@ func BenchmarkServerPan_Hit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchGet(b, url)
+	}
+}
+
+// BenchmarkServerPan_HitNewP hits the cached window with a fresh p on
+// every request, so each one misses the window's answer memo and pays the
+// full solve (BenchmarkServerPan_Hit, which repeats one p, measures the
+// memo hit instead).
+func BenchmarkServerPan_HitNewP(b *testing.B) {
+	ts := newBenchServer(b, server.DefaultCacheBytes)
+	base := fmt.Sprintf("%s/traces/bench/aggregate?slices=%d", ts.URL, windowBenchT)
+	benchGet(b, base+"&p=0.5") // prime the window
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Distinct float bits near 0.5: a new memo key, the same solve cost.
+		p := 0.5 + float64(i+1)*1e-12
+		benchGet(b, base+"&p="+strconv.FormatFloat(p, 'g', -1, 64))
 	}
 }
 

@@ -9,7 +9,9 @@
 //
 // The engine serves interactive exploration in both of its dimensions:
 // one immutable core.Input answers any number of concurrent p-queries
-// from a capacity-bounded solver pool, and many-p exploration is fused —
+// from a capacity-bounded solver pool and memoizes up to 32 answers per
+// window (core.Input.SolveContext), so revisiting a p costs a map lookup
+// instead of an O(|S|·|T|³) solve, and many-p exploration is fused —
 // Solver.RunManyContext carries up to core.MaxLanes p-lanes through a
 // single triangular iteration per hierarchy node (SweepRunContext and
 // SweepQualityContext split their p list into lane blocks over the worker
@@ -35,8 +37,9 @@
 // threshold, bit-identical either way),
 // core builds immutable per-window Inputs and answers p-queries, and
 // internal/server (the HTTP/JSON front-end behind cmd/ocelotld) keeps a
-// window-keyed, byte-budgeted LRU cache of those Inputs whose misses are
-// derived incrementally from the nearest cached overlapping window —
+// window-keyed, byte-budgeted LRU cache of those Inputs (their memoized
+// answers charged to the same budget) whose misses are derived
+// incrementally from the nearest cached overlapping window —
 // with singleflight deduplication, per-request build-path logging and
 // /debug/cachestats counters. Request contexts flow through the whole
 // serve path: a timed-out or disconnected request answers 499, counts

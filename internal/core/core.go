@@ -23,7 +23,20 @@
 //     SweepQualityContext, SignificantPsContext) builds on it: sweeps
 //     partition their ps into lane blocks over the worker pool, and the
 //     significant-p dichotomy solves each frontier generation as one
-//     fused batch per round.
+//     fused batch per round. Both kernels compare every alternative
+//     against a hoisted improvement threshold (improveThr: best +
+//     ImproveEps·(1+|best|), recomputed only when a cell's best changes)
+//     instead of calling measures.Improves per compare — the same
+//     arithmetic, so the partitions are unchanged bit for bit.
+//
+//   - Input.SolveContext (answers.go) is the memoized single-p entry
+//     point: the first query of a p (keyed by its exact float64 bits) on
+//     an Input runs a pooled solve and keeps the partition; repeats
+//     return that shared, read-only partition without solving. The memo
+//     holds at most 32 answers per Input, stores nothing for a cancelled
+//     or failed solve, and counts its bytes in MemoryBytes, so a cache
+//     budgeting Inputs by that figure charges the answers with their
+//     window and drops them when it evicts it.
 //
 // Window changes are incremental (update.go): Input.UpdateContext — and
 // Input.Zoom and Input.AdvanceContext over a microscopic.Reslicer-built

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"ocelotl/internal/measures"
 	"ocelotl/internal/partition"
@@ -19,17 +17,6 @@ import (
 // granularity across workers (the sweep layer shrinks blocks below this cap
 // when splitting them over more workers is the better trade).
 const MaxLanes = 16
-
-// improveThr returns the strict-improvement threshold Improves(·, best)
-// compares against for a finite best: a candidate beats best iff it
-// exceeds best + ImproveEps·(1+|best|). The fused kernel caches this value
-// per lane and recomputes it only when best changes, instead of
-// re-deriving it on every add-compare; the comparison is bit-identical to
-// measures.Improves because every pIC alternative is finite (gain and
-// loss are finite sums, p ∈ [0,1]), so Improves' -Inf arm is unreachable.
-func improveThr(best float64) float64 {
-	return best + measures.ImproveEps*(1+math.Abs(best))
-}
 
 // RunManyContext executes Algorithm 1 once per entry of ps on this solver
 // and returns the optimal partitions in input order, each bit-identical to
@@ -70,8 +57,8 @@ func (s *Solver) RunManyContext(ctx context.Context, ps []float64) ([]*partition
 // (RunManyContext, SweepRunContext) runs it.
 func validatePs(ps []float64) error {
 	for _, p := range ps {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return fmt.Errorf("core: p = %v out of [0,1]", p)
+		if err := validateP(p); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -96,6 +96,9 @@ type Input struct {
 	// pIC/cut strips) grown by pooled solvers, which the pool likewise
 	// retains.
 	laneBytes atomic.Int64
+	// answers memoizes SolveContext's partitions per p (answers.go);
+	// their bytes count toward MemoryBytes.
+	answers answerMemo
 }
 
 // Options tunes the input pass and the solvers derived from it.
@@ -565,11 +568,12 @@ func (in *Input) SolverPoolBound() int { return in.poolBound }
 
 // MemoryBytes returns the approximate resident size of the Input in
 // bytes — the cache-cost accessor serving-layer caches budget their
-// entries with: the arenas (matrices, slice rows, prefix sums) plus the
+// entries with: the arenas (matrices, slice rows, prefix sums), the
 // scratch of every pooled solver created so far (the bounded pool
-// retains them for the Input's lifetime, so they are resident cost; the
-// pool warms as queries run, so callers budgeting by this value should
-// re-read it rather than assume the at-construction figure).
+// retains them for the Input's lifetime, so they are resident cost) and
+// the answers memoized by SolveContext. The pool and the memo warm as
+// queries run, so callers budgeting by this value should re-read it
+// rather than assume the at-construction figure.
 func (in *Input) MemoryBytes() int {
 	floats := len(in.gain) + len(in.loss) +
 		len(in.slcD) + len(in.slcRho) + len(in.slcRL) +
@@ -578,5 +582,6 @@ func (in *Input) MemoryBytes() int {
 	// Each pooled solver holds a float64 pIC and an int32 cut arena of
 	// len(gain) cells, plus whatever fused-lane strips it has grown.
 	solver := len(in.gain) * (8 + 4)
-	return floats*8 + int(in.solversLive.Load())*solver + int(in.laneBytes.Load())
+	return floats*8 + int(in.solversLive.Load())*solver + int(in.laneBytes.Load()) +
+		int(in.answers.bytes.Load())
 }

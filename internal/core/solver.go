@@ -66,8 +66,8 @@ func (in *Input) NewSolver() *Solver {
 // but is fully overwritten by the next run, so the solver stays reusable
 // (and poolable).
 func (s *Solver) RunContext(ctx context.Context, p float64) (*partition.Partition, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return nil, fmt.Errorf("core: p = %v out of [0,1]", p)
+	if err := validateP(p); err != nil {
+		return nil, err
 	}
 	ep := s.in.effectiveP(p)
 	iterate := func(id int) { s.iterateCells(id, ep) }
@@ -85,6 +85,14 @@ func (s *Solver) RunContext(ctx context.Context, p float64) (*partition.Partitio
 	pt.PIC = measures.PIC(ep, pt.Gain, pt.Loss)
 	pt.Sort()
 	return pt, nil
+}
+
+// validateP rejects a trade-off ratio outside [0,1], NaN included.
+func validateP(p float64) error {
+	if p < 0 || p > 1 || math.IsNaN(p) {
+		return fmt.Errorf("core: p = %v out of [0,1]", p)
+	}
+	return nil
 }
 
 // QualityContext runs the algorithm at p and summarizes the result;
@@ -159,10 +167,24 @@ func (s *Solver) walk(ctx context.Context, id int, iterate func(id int)) {
 	iterate(id)
 }
 
+// improveThr returns the strict-improvement threshold
+// measures.Improves(·, best) compares against for a finite best: a
+// candidate beats best iff it exceeds best + ImproveEps·(1+|best|). Both
+// DP kernels cache this value per cell (per lane in the fused kernel) and
+// recompute it only when best changes, instead of re-deriving it on every
+// add-compare. The comparison v > improveThr(best) is bit-identical to
+// measures.Improves(v, best) because every pIC alternative is finite
+// (gain and loss are finite sums, p ∈ [0,1]), so Improves' -Inf arm is
+// unreachable.
+func improveThr(best float64) float64 {
+	return best + measures.ImproveEps*(1+math.Abs(best))
+}
+
 // iterateCells is the triangular iteration of Algorithm 1 for one node,
 // assuming every child's pIC matrix is already computed. The temporal-cut
 // scan keeps the right-interval index as a running offset (triIndex is an
-// affine walk along a fixed j), so the inner loop is add-compare only.
+// affine walk along a fixed j) and compares against the cell's hoisted
+// improvement threshold, so the inner loop is add-compare only.
 func (s *Solver) iterateCells(id int, p float64) {
 	in := s.in
 	T := in.T
@@ -180,14 +202,14 @@ func (s *Solver) iterateCells(id int, p float64) {
 		for j := i; j < T; j++ {
 			idx := base + (j - i)
 			best := p*gain[idx] - q*loss[idx] // no cut
-			bestCut := int32(j)
+			thr, bestCut := improveThr(best), int32(j)
 			if len(childOffs) > 0 { // spatial cut?
 				var sum float64
 				for _, co := range childOffs {
 					sum += s.pic[co+idx]
 				}
-				if measures.Improves(sum, best) {
-					best, bestCut = sum, CutSpatial
+				if sum > thr {
+					best, thr, bestCut = sum, improveThr(sum), CutSpatial
 				}
 			}
 			// Temporal cuts: left part pic[(i,cut)] is rowPic[cut-i];
@@ -195,8 +217,8 @@ func (s *Solver) iterateCells(id int, p float64) {
 			// nextBase + (j-i-1) and advances by T-cut-2 per step of cut.
 			rIdx := nextBase + (j - i - 1)
 			for cut := i; cut < j; cut++ {
-				if v := rowPic[cut-i] + pic[rIdx]; measures.Improves(v, best) {
-					best, bestCut = v, int32(cut)
+				if v := rowPic[cut-i] + pic[rIdx]; v > thr {
+					best, thr, bestCut = v, improveThr(v), int32(cut)
 				}
 				rIdx += T - cut - 2
 			}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
+
+	"ocelotl/internal/measures"
 )
 
 // sequentialReference solves every p on one sequential Solver and records
@@ -201,4 +204,30 @@ func TestPooledSolversConcurrentRuns(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+}
+
+// TestImproveThrMatchesImproves guards the hoisted threshold both DP
+// kernels compare against: for finite values, v > improveThr(best) must
+// decide exactly as measures.Improves(v, best) — at signed zeros,
+// subnormals, the edges of the float range, and one ulp either side of
+// the threshold itself.
+func TestImproveThrMatchesImproves(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	edges := []float64{0, math.Copysign(0, -1), sub, -sub, 2.2250738585072e-308, 1e-300,
+		-1e-300, 1e-12, 0.5, -0.5, 1, -1, 1e15, -1e15, 1e308, -1e308, math.MaxFloat64 / 2}
+	for _, best := range edges {
+		thr := improveThr(best)
+		if math.IsInf(thr, 0) || math.IsNaN(thr) {
+			t.Fatalf("improveThr(%v) = %v, want finite", best, thr)
+		}
+		above, below := math.Nextafter(thr, math.Inf(1)), math.Nextafter(thr, math.Inf(-1))
+		if !measures.Improves(above, best) || measures.Improves(thr, best) {
+			t.Errorf("best %v: one ulp above the threshold must improve, the threshold itself must not", best)
+		}
+		for _, v := range append([]float64{thr, above, below, best}, edges...) {
+			if got, want := v > thr, measures.Improves(v, best); got != want {
+				t.Errorf("v=%v best=%v: v > improveThr(best) = %v, Improves = %v", v, best, got, want)
+			}
+		}
+	}
 }

@@ -74,8 +74,8 @@ type entry struct {
 	bytes int // in + ovBytes, charged against the budget
 
 	ovMu    sync.Mutex
-	ov      *core.Input
-	ovBytes int // guarded by the cache mu, not ovMu
+	ov      *core.Input // written under both ovMu and the cache mu
+	ovBytes int         // guarded by the cache mu, not ovMu
 }
 
 // traceGen addresses one trace load's ladder.
@@ -512,8 +512,8 @@ func (c *InputCache) overview(e *entry) *core.Input {
 		if err != nil {
 			return e.in
 		}
-		e.ov = ov
 		c.mu.Lock()
+		e.ov = ov
 		if el, ok := c.entries[e.key]; ok && el.Value.(*entry) == e {
 			e.ovBytes = ov.MemoryBytes()
 			e.bytes += e.ovBytes
@@ -612,6 +612,9 @@ func (c *InputCache) build(ctx context.Context, tr *Trace, sl timeslice.Slicer, 
 // handlers call it whenever they map a cancellation to a client response.
 func (c *InputCache) noteAborted() { c.stats.Aborted.Add(1) }
 
+// noteAnswerHit counts a solve served from a cached Input's answer memo.
+func (c *InputCache) noteAnswerHit() { c.stats.AnswerHits.Add(1) }
+
 // noteShed records one load-shed request (503 + Retry-After).
 func (c *InputCache) noteShed() { c.stats.Shed.Add(1) }
 
@@ -666,12 +669,15 @@ func (c *InputCache) Seed(tr *Trace, in *core.Input) {
 	c.insertLocked(keyFor(tr, in.Model.Slicer), in)
 }
 
-// refreshLocked re-reads an entry's byte cost (it grows as the Input's
-// bounded solver pool warms up) and reruns eviction if the total
-// overflows; the refreshed entry sits at the LRU front, so it is never
-// its own victim.
+// refreshLocked re-reads an entry's byte cost — its Input's and its
+// overview's, which grow as their bounded solver pools warm up and their
+// answer memos fill — and reruns eviction if the total overflows; the
+// refreshed entry sits at the LRU front, so it is never its own victim.
 func (c *InputCache) refreshLocked(el *list.Element) {
 	e := el.Value.(*entry)
+	if e.ov != nil {
+		e.ovBytes = e.ov.MemoryBytes()
+	}
 	now := e.in.MemoryBytes() + e.ovBytes
 	if now == e.bytes {
 		return

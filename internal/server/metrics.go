@@ -34,6 +34,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ocelotl_previews_total", "Refine requests answered with a coarse covering preview.", "counter", snap.Previews},
 		{"ocelotl_sweep_queries_total", "Multi-p requests served through the fused sweep path.", "counter", snap.SweepQueries},
 		{"ocelotl_sweep_ps_total", "Total p points answered by fused sweeps.", "counter", snap.SweepPs},
+		{"ocelotl_answer_hits_total", "Solves served from a cached window's answer memo.", "counter", snap.AnswerHits},
 		{"ocelotl_follow_ticks_total", "Follow-mode ingestion ticks that carried events.", "counter", snap.FollowTicks},
 		{"ocelotl_follow_events_total", "Events ingested by follow-mode ticks.", "counter", snap.FollowEvents},
 		{"ocelotl_follow_reorders_total", "Out-of-order follow batches that forced a generation bump and cache purge.", "counter", snap.FollowReorders},

@@ -574,6 +574,75 @@ func TestCacheAccountsForSolverPoolWarmup(t *testing.T) {
 	}
 }
 
+// TestRepeatQueriesServedFromAnswerMemo: on a cached window, repeating
+// an /aggregate or /render at the same p is answered from the Input's
+// answer memo — answer_hits moves, the bodies stay byte-identical to an
+// uncached scratch server — and the memoized answers are charged to the
+// cache budget like the rest of the entry.
+func TestRepeatQueriesServedFromAnswerMemo(t *testing.T) {
+	s, ts := newTestServer(t, quietConfig())
+	scratchCfg := quietConfig()
+	scratchCfg.CacheBytes = -1
+	scratch, tsScratch := newTestServer(t, scratchCfg)
+
+	steps := []struct {
+		path     string
+		memoHits int64 // answer_hits after the request
+	}{
+		{"/traces/art/aggregate?slices=20&p=0.3", 0}, // miss: build and solve
+		{"/traces/art/aggregate?slices=20&p=0.3", 1}, // repeat: memo
+		{"/traces/art/render?slices=20&p=0.3&format=svg", 2},
+		{"/traces/art/render?slices=20&p=0.3&format=png&width=64&height=32", 3},
+		{"/traces/art/aggregate?slices=20&p=0.6", 3}, // new p on the cached window: solve
+		{"/traces/art/aggregate?slices=20&p=0.6", 4},
+		{"/traces/art/aggregate?slices=20&p=0.3", 5},
+	}
+	for i, st := range steps {
+		resp, body := get(t, ts.URL+st.path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d %s: status %d: %s", i, st.path, resp.StatusCode, body)
+		}
+		if i > 0 {
+			if b := resp.Header.Get(buildHeader); b != string(BuildHit) {
+				t.Fatalf("step %d %s: build %q, want a window-cache hit", i, st.path, b)
+			}
+		}
+		if got := s.CacheStats().AnswerHits; got != st.memoHits {
+			t.Fatalf("step %d %s: answer_hits = %d, want %d", i, st.path, got, st.memoHits)
+		}
+		_, want := get(t, tsScratch.URL+st.path)
+		if !bytes.Equal(body, want) {
+			t.Fatalf("step %d %s: body differs from a scratch server:\ngot:  %.300s\nwant: %.300s", i, st.path, body, want)
+		}
+	}
+	if got := scratch.CacheStats().AnswerHits; got != 0 {
+		t.Fatalf("uncached server reported %d answer hits", got)
+	}
+
+	// The last hit refreshed the entry after its answers were stored: the
+	// cache's byte total is the sum of its entries' MemoryBytes.
+	c := s.cache
+	c.mu.Lock()
+	var sum int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		sum += int64(e.in.MemoryBytes())
+		if e.ov != nil {
+			sum += int64(e.ov.MemoryBytes())
+		}
+	}
+	total := c.bytes
+	c.mu.Unlock()
+	if total != sum {
+		t.Fatalf("cache bytes %d, entries' MemoryBytes sum to %d", total, sum)
+	}
+
+	_, metrics := get(t, ts.URL+"/metrics")
+	if want := "ocelotl_answer_hits_total 5\n"; !strings.Contains(string(metrics), want) {
+		t.Fatalf("/metrics missing %q", want)
+	}
+}
+
 // mustInput runs the input pass under a background context, failing the
 // test on error.
 func mustInput(tb testing.TB, m *microscopic.Model, opt core.Options) *core.Input {

@@ -20,7 +20,9 @@ import "sync/atomic"
 // an incremental Update, scratch means it fell through to the event
 // index — the ratio is the pyramid's zoom hit rate. Previews counts
 // refine requests answered immediately with a coarse covering window
-// while the fine build proceeded in the background.
+// while the fine build proceeded in the background. AnswerHits counts
+// /aggregate and /render solves served from an Input's answer memo
+// (core.Input.SolveContext) instead of rerunning Algorithm 1.
 //
 // The overload counters: Shed counts requests refused by the build gate
 // (503 + Retry-After — the queue was full or the request's deadline was
@@ -46,6 +48,7 @@ type Stats struct {
 	Previews     atomic.Int64
 	SweepQueries atomic.Int64
 	SweepPs      atomic.Int64
+	AnswerHits   atomic.Int64
 
 	// Follow-mode ingestion counters: FollowTicks counts ticks that
 	// ingested at least one event, FollowEvents the events they carried,
@@ -86,6 +89,7 @@ type StatsSnapshot struct {
 	Previews     int64 `json:"previews"`
 	SweepQueries int64 `json:"sweep_queries"`
 	SweepPs      int64 `json:"sweep_ps"`
+	AnswerHits   int64 `json:"answer_hits"`
 
 	FollowTicks    int64 `json:"follow_ticks"`
 	FollowEvents   int64 `json:"follow_events"`
@@ -131,6 +135,7 @@ func (s *Stats) snapshot() StatsSnapshot {
 		Previews:     s.Previews.Load(),
 		SweepQueries: s.SweepQueries.Load(),
 		SweepPs:      s.SweepPs.Load(),
+		AnswerHits:   s.AnswerHits.Load(),
 
 		FollowTicks:    s.FollowTicks.Load(),
 		FollowEvents:   s.FollowEvents.Load(),

@@ -12,7 +12,7 @@
 # of the incremental pan), live ingestion (BenchmarkFollowTick: one
 # Extend + live-window advance, the follower's steady-state tick, vs
 # BenchmarkFollowTick_Rebuild) and the serving layer
-# (BenchmarkServerPan_{Hit,Derived,Scratch}: one aggregate request
+# (BenchmarkServerPan_{Hit,HitNewP,Derived,Scratch}: one aggregate request
 # through the HTTP handler per cache build path). A subset of
 # these are gated against regressions by scripts/benchdiff.sh.
 #

@@ -45,6 +45,7 @@ BenchmarkWindowPan_DiskIndex
 BenchmarkWindowZoom_Incremental
 BenchmarkWindowZoomOut_Incremental
 BenchmarkServerPan_Hit
+BenchmarkServerPan_HitNewP
 BenchmarkServerZoom_Pyramid
 BenchmarkTable2_AggregationRun_C
 BenchmarkFollowTick
